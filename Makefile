@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench-smoke rejoin-bench load load-smoke load-diff fuzz-smoke
+.PHONY: check fmt vet build test race bench-smoke benchmark-module rejoin-bench load load-smoke load-diff fuzz-smoke
 
-check: fmt vet build test bench-smoke fuzz-smoke
+check: fmt vet build test bench-smoke benchmark-module fuzz-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -22,6 +22,12 @@ race:
 
 bench-smoke:
 	$(GO) test -run XXX -bench BenchmarkT1 -benchtime=1x .
+
+# benchmark/ is a module of its own, so ./... above never builds it: vet it
+# and run its one-workload smoke test so a product API it uses cannot be
+# removed without failing here.
+benchmark-module:
+	cd benchmark && $(GO) vet . && $(GO) test -short .
 
 # Short coverage-guided fuzz of the two codecs under the NFS wire path.
 # Long runs are manual: go test -fuzz FuzzWireRoundTrip ./internal/wire

@@ -30,12 +30,11 @@ import (
 
 func main() {
 	var (
-		listen    = flag.String("listen", "127.0.0.1:7001", "inter-server transport address")
-		peers     = flag.String("peers", "", "comma-separated transport addresses of all cell members (including this one)")
-		nfsAddr   = flag.String("nfs", "127.0.0.1:8001", "NFS/MOUNT/control RPC endpoint")
-		storeDir  = flag.String("store", "", "non-volatile storage directory (empty = in-memory)")
-		storeKind = flag.String("store-backend", "log", "on-disk store backend: log (append-only wal + checkpoints, one fsync per batch) or disk (one file per key)")
-		initRoot  = flag.Bool("init", false, "create the cell root directory if missing")
+		listen   = flag.String("listen", "127.0.0.1:7001", "inter-server transport address")
+		peers    = flag.String("peers", "", "comma-separated transport addresses of all cell members (including this one)")
+		nfsAddr  = flag.String("nfs", "127.0.0.1:8001", "NFS/MOUNT/control RPC endpoint")
+		storeDir = flag.String("store", "", "non-volatile storage directory: an append-only wal plus checkpoints, one fsync per commit (empty = in-memory, nothing survives a restart)")
+		initRoot = flag.Bool("init", false, "create the cell root directory if missing")
 	)
 	flag.Parse()
 
@@ -54,23 +53,15 @@ func main() {
 	}
 
 	var st store.Store
-	switch {
-	case *storeDir == "":
-		st = store.NewMemStore(store.WriteSync)
-	case *storeKind == "log":
+	if *storeDir == "" {
+		log.Printf("deceitd: warning: no -store directory; this server keeps nothing across a restart")
+		st = store.NewMemStore()
+	} else {
 		ls, err := store.OpenLog(*storeDir, store.LogOptions{})
 		if err != nil {
 			log.Fatalf("deceitd: %v", err)
 		}
 		st = ls
-	case *storeKind == "disk":
-		ds, err := store.OpenDisk(*storeDir)
-		if err != nil {
-			log.Fatalf("deceitd: %v", err)
-		}
-		st = ds
-	default:
-		log.Fatalf("deceitd: unknown -store-backend %q (want log or disk)", *storeKind)
 	}
 
 	srv, err := server.New(server.Config{
@@ -93,5 +84,7 @@ func main() {
 	<-sig
 	fmt.Println("deceitd: shutting down")
 	srv.Close()
-	_ = st.Close()
+	if err := st.Close(); err != nil {
+		log.Fatalf("deceitd: closing store: %v", err)
+	}
 }

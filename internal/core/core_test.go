@@ -74,7 +74,7 @@ func newTestClusterFull(t *testing.T, n int, iopts isis.Options, copts Options) 
 		c.ids = append(c.ids, simnet.NodeID(fmt.Sprintf("srv%d", i)))
 	}
 	for i := 0; i < n; i++ {
-		c.nodes = append(c.nodes, c.startNode(c.ids[i], store.NewMemStore(store.WriteSync)))
+		c.nodes = append(c.nodes, c.startNode(c.ids[i], store.NewMemStore()))
 	}
 	t.Cleanup(func() {
 		for _, nd := range c.nodes {

@@ -8,7 +8,7 @@ import (
 	"repro/internal/store"
 )
 
-func newEmptyStore() *store.MemStore { return store.NewMemStore(store.WriteSync) }
+func newEmptyStore() *store.MemStore { return store.NewMemStore() }
 
 // Tests for the data preconditions on token regeneration and replica
 // records, added after the chaos soak exposed "zombie forks": versions

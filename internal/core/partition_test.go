@@ -267,7 +267,7 @@ func TestFullClusterRestartRecovers(t *testing.T) {
 	c.crash(2)
 	nd0 := c.restart(0, st0)
 	c.restart(1, st1)
-	c.restart(2, store.NewMemStore(store.WriteSync))
+	c.restart(2, store.NewMemStore())
 
 	waitUntil(t, 20*time.Second, "data recovered", func() bool {
 		rctx, cancel := ctxTimeout(2 * time.Second)

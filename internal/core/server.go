@@ -787,13 +787,13 @@ func (s *Server) persistReplica(sg *segment, major uint64, rep *localReplica) {
 }
 
 // stPut routes a persistence write through the segment's group-commit stage
-// when a batched cast is being applied, else straight to the store.
+// when a batched cast is being applied, else commits it to the store alone.
 func (s *Server) stPut(sg *segment, bucket, key string, val []byte) {
 	op := store.Op{Bucket: bucket, Key: key, Val: val}
 	if sg != nil && sg.stage(op) {
 		return
 	}
-	_ = s.st.Put(bucket, key, val)
+	_ = s.st.PutBatch([]store.Op{op})
 }
 
 func (s *Server) stDelete(sg *segment, bucket, key string) {
@@ -801,7 +801,7 @@ func (s *Server) stDelete(sg *segment, bucket, key string) {
 	if sg != nil && sg.stage(op) {
 		return
 	}
-	_ = s.st.Delete(bucket, key)
+	_ = s.st.PutBatch([]store.Op{op})
 }
 
 func (s *Server) loadReplica(id SegID, major uint64) *localReplica {

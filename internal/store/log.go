@@ -48,22 +48,23 @@ type LogStore struct {
 	commits uint64
 	opCount uint64
 
-	crashed bool
-	closed  bool
+	// failed is sticky: set by an injected crash (ErrCrashed) or a failed
+	// wal write or fsync, after which every call returns it until the
+	// directory is reopened. A commit that failed part-way may have left a
+	// torn frame, or a whole one nobody acknowledged, at the wal's tail;
+	// appending behind it would put later acknowledged commits past the
+	// point where recovery stops replaying.
+	failed error
+	closed bool
 }
 
 var _ Store = (*LogStore)(nil)
-var _ Syncer = (*LogStore)(nil)
 
 // LogOptions tunes a LogStore.
 type LogOptions struct {
 	// CheckpointBytes triggers a checkpoint + log truncation once the log
 	// grows past this size. 0 selects 4 MiB; negative disables checkpoints.
 	CheckpointBytes int64
-	// NoSync skips fsync on commit (benchmarks that measure protocol cost,
-	// not disk cost). Syncs() still counts the barriers that would have been
-	// issued, so ops/fsync arithmetic is unaffected.
-	NoSync bool
 	// Faults, if set, injects simulated crashes at named points; see
 	// CrashPoint. Used by the recovery property tests and the chaos phase.
 	Faults FaultHook
@@ -183,19 +184,10 @@ func (s *LogStore) Dir() string { return s.dir }
 
 // ---------------------------------------------------------------- commit --
 
-// Put implements Store: a group commit of one.
-func (s *LogStore) Put(bucket, key string, val []byte) error {
-	return s.PutBatch([]Op{{Bucket: bucket, Key: key, Val: val}})
-}
-
-// Delete implements Store.
-func (s *LogStore) Delete(bucket, key string) error {
-	return s.PutBatch([]Op{{Bucket: bucket, Key: key, Delete: true}})
-}
-
 // PutBatch implements Store: the whole batch becomes one framed record batch
 // in the log and costs exactly one fsync — the group commit that lets the
-// store keep up with batched total-order casts.
+// store keep up with batched total-order casts. A failed write or fsync
+// fails the store for good (see failed): the caller must reopen it.
 func (s *LogStore) PutBatch(ops []Op) error {
 	if len(ops) == 0 {
 		return nil
@@ -220,19 +212,19 @@ func (s *LogStore) PutBatch(ops []Op) error {
 		}
 		_, _ = s.wal.Write(frame[:n])
 		_ = s.wal.Sync() // make the torn prefix itself visible to recovery
-		s.crashed = true
+		s.failed = ErrCrashed
 		return ErrCrashed
 	}
 	if _, err := s.wal.Write(frame); err != nil {
-		return fmt.Errorf("store: %w", err)
+		s.failed = fmt.Errorf("store: wal write: %w", err)
+		return s.failed
 	}
 	if s.fireLocked(CrashBeforeSync) {
 		return ErrCrashed
 	}
-	if !s.opts.NoSync {
-		if err := s.wal.Sync(); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
+	if err := s.wal.Sync(); err != nil {
+		s.failed = fmt.Errorf("store: wal fsync: %w", err)
+		return s.failed
 	}
 	s.syncs++
 	if s.fireLocked(CrashAfterSync) {
@@ -261,15 +253,12 @@ func (s *LogStore) usableLocked() error {
 	if s.closed {
 		return ErrClosed
 	}
-	if s.crashed {
-		return ErrCrashed
-	}
-	return nil
+	return s.failed
 }
 
 func (s *LogStore) fireLocked(p CrashPoint) bool {
 	if s.opts.Faults != nil && s.opts.Faults.Crashpoint(p) {
-		s.crashed = true
+		s.failed = ErrCrashed
 		return true
 	}
 	return false
@@ -327,35 +316,13 @@ func (s *LogStore) Keys(bucket string) ([]string, error) {
 	return out, nil
 }
 
-// Sync implements Store. Commits are individually fsynced, so this only
-// flushes the log file handle (a no-op unless NoSync buffered writes).
-func (s *LogStore) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.usableLocked(); err != nil {
-		return err
-	}
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	s.syncs++
-	return nil
-}
-
-// Syncs implements Syncer.
-func (s *LogStore) Syncs() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.syncs
-}
-
 // LogStats describes the store's commit activity.
 type LogStats struct {
 	Seq           uint64 // last committed batch sequence
 	CheckpointSeq uint64 // sequence covered by the on-disk checkpoint
 	Commits       uint64 // record batches appended
 	Ops           uint64 // ops inside those batches
-	Syncs         uint64 // fsync barriers issued (or counted under NoSync)
+	Syncs         uint64 // fsyncs issued: one per commit, two per checkpoint
 	WalBytes      int64  // current log length
 }
 
@@ -422,16 +389,14 @@ func (s *LogStore) checkpointLocked() error {
 		}
 		_, _ = tmp.Write(body[:n])
 		tmp.Close() // the torn temp file stays; open sweeps it
-		s.crashed = true
+		s.failed = ErrCrashed
 		return ErrCrashed
 	}
 	if _, err := tmp.Write(body); err != nil {
 		return fail(fmt.Errorf("store: %w", err))
 	}
-	if !s.opts.NoSync {
-		if err := tmp.Sync(); err != nil {
-			return fail(fmt.Errorf("store: %w", err))
-		}
+	if err := tmp.Sync(); err != nil {
+		return fail(fmt.Errorf("store: %w", err))
 	}
 	s.syncs++
 	if err := tmp.Close(); err != nil {
@@ -444,10 +409,8 @@ func (s *LogStore) checkpointLocked() error {
 		os.Remove(name)
 		return fmt.Errorf("store: %w", err)
 	}
-	if !s.opts.NoSync {
-		if err := syncDir(s.dir); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
+	if err := syncDir(s.dir); err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
 	s.syncs++
 	s.ckptSeq = s.seq
@@ -463,6 +426,16 @@ func (s *LogStore) checkpointLocked() error {
 	}
 	s.walSize = 0
 	return nil
+}
+
+// syncDir fsyncs a directory so a rename inside it is durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 func (s *LogStore) loadCheckpoint() error {

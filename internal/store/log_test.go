@@ -99,7 +99,7 @@ func TestLogPersistsAcrossReopen(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete("b", "y"); err != nil {
+	if err := del(s, "b", "y"); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -130,11 +130,11 @@ func TestLogGroupCommitOneSyncPerBatch(t *testing.T) {
 	for i := range ops {
 		ops[i] = store.Op{Bucket: "b", Key: fmt.Sprintf("k%d", i), Val: []byte("v")}
 	}
-	before := s.Syncs()
+	before := s.Stats().Syncs
 	if err := s.PutBatch(ops); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Syncs() - before; got != 1 {
+	if got := s.Stats().Syncs - before; got != 1 {
 		t.Fatalf("16-op batch cost %d fsyncs, want 1", got)
 	}
 	st := s.Stats()
@@ -152,10 +152,10 @@ func TestLogTornTailTruncated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Put("b", "committed", []byte("safe")); err != nil {
+		if err := put(s, "b", "committed", []byte("safe")); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Put("b", "tail", []byte("doomed")); err != nil {
+		if err := put(s, "b", "tail", []byte("doomed")); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Close(); err != nil {
@@ -202,7 +202,7 @@ func TestLogTornTailTruncated(t *testing.T) {
 			t.Fatalf("cut=%d: torn frame replayed", cut)
 		}
 		// The store must keep working after truncating the torn tail.
-		if err := s.Put("b", "after", []byte("ok")); err != nil {
+		if err := put(s, "b", "after", []byte("ok")); err != nil {
 			t.Fatalf("cut=%d: post-recovery commit: %v", cut, err)
 		}
 		s.Close()
@@ -265,8 +265,8 @@ func TestLogCrashPointsProperty(t *testing.T) {
 			t.Fatalf("point %s never fired", p)
 		}
 		// Simulated crash: every subsequent op fails.
-		if err := s.Put("b", "k", nil); err != store.ErrCrashed {
-			t.Fatalf("post-crash Put = %v, want ErrCrashed", err)
+		if err := put(s, "b", "k", nil); err != store.ErrCrashed {
+			t.Fatalf("post-crash commit = %v, want ErrCrashed", err)
 		}
 		s.Close()
 
@@ -295,7 +295,7 @@ func TestLogCrashPointsProperty(t *testing.T) {
 			t.Fatalf("point %s: acknowledged batch lost: recovered prefix %d < acked %d", p, prefix, acked)
 		}
 		// The store must accept new commits after recovery.
-		if err := s2.Put("b", "post", []byte("recovery")); err != nil {
+		if err := put(s2, "b", "post", []byte("recovery")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -393,7 +393,7 @@ func TestLogCheckpointTempSwept(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("b", "k", []byte("v")); err != nil {
+	if err := put(s, "b", "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	inj.Arm(store.CrashMidCheckpoint, 1)

@@ -3,37 +3,30 @@
 // state, version pairs, token state, and the map between file handles and
 // local names are all persisted here.
 //
-// The interface is a bucketed key/value store. Two implementations exist:
+// The interface is a bucketed key/value store with one commit primitive,
+// PutBatch: every mutation — a single put or delete, or everything a
+// delivered cast dirtied — is one batch, applied whole. Two implementations
+// exist:
 //
-//   - MemStore, an in-memory store with crash simulation. The paper notes
-//     that "some of a server's non-volatile storage is updated immediately
-//     when values change, and some of it is written asynchronously,
-//     depending on safety"; MemStore models this with synchronous and
-//     asynchronous write modes and a Crash operation that discards
-//     unsynced writes.
-//   - DiskStore, a directory-backed store using atomic rename for
-//     durability, one file per key.
-//   - LogStore (log.go), an append-only segment log with periodic
-//     checkpoints: a whole batch of operations is group-committed as one
-//     framed, CRC-protected record with a single fsync, and recovery is
-//     checkpoint + log suffix with torn tail records truncated.
+//   - LogStore (log.go), the durable store: an append-only log with periodic
+//     checkpoints. Each batch is committed as one framed, CRC-protected
+//     record with a single fsync, and recovery is checkpoint + log suffix
+//     with torn tail records truncated.
+//   - MemStore, an in-memory test double with the same semantics and no
+//     durability: it is what a server runs on when nothing need survive a
+//     restart, and the reference model the LogStore property tests compare
+//     against.
 package store
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 )
 
-// Op is one mutation inside a PutBatch group commit: a put of Val under
-// (Bucket, Key), or — when Delete is set — a removal of the key.
+// Op is one mutation inside a PutBatch commit: a put of Val under
+// (Bucket, Key), or — when Delete is set — a removal of the key. Deleting a
+// missing key is not an error.
 type Op struct {
 	Bucket string
 	Key    string
@@ -43,83 +36,37 @@ type Op struct {
 
 // Store is the non-volatile storage interface.
 type Store interface {
-	// Put writes a value. Whether the write is immediately durable depends
-	// on the implementation's write mode.
-	Put(bucket, key string, val []byte) error
-	// PutBatch applies a run of mutations as one group commit. On a
-	// log-structured implementation the whole batch costs a single fsync;
-	// other implementations apply the ops in order with their usual per-op
-	// durability. An error means a prefix (possibly empty) of the batch may
-	// have been applied.
+	// PutBatch applies a run of mutations, in order, as one commit. On
+	// LogStore the whole batch is durable when PutBatch returns nil and
+	// costs a single fsync. An error means the batch may or may not survive
+	// a restart, but never partially.
 	PutBatch(ops []Op) error
 	// Get reads a value, reporting whether it exists.
 	Get(bucket, key string) ([]byte, bool, error)
-	// Delete removes a value; deleting a missing key is not an error.
-	Delete(bucket, key string) error
 	// Keys lists the keys in a bucket in sorted order.
 	Keys(bucket string) ([]string, error)
-	// Sync makes all prior writes durable.
-	Sync() error
 	// Close releases resources. The store must not be used afterwards.
 	Close() error
-}
-
-// Syncer is implemented by stores that count the fsync (or simulated fsync)
-// barriers they have issued; the A7 ablation reads it to report ops/fsync.
-type Syncer interface {
-	Syncs() uint64
 }
 
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("store: closed")
 
-// WriteMode selects durability behavior for MemStore.
-type WriteMode int
-
-// Write modes.
-const (
-	// WriteSync makes every Put durable immediately.
-	WriteSync WriteMode = iota
-	// WriteAsync buffers Puts until Sync; a Crash loses them.
-	WriteAsync
-)
-
-type memEntry struct {
-	val     []byte
-	deleted bool
-}
-
-// MemStore is an in-memory Store with crash simulation.
+// MemStore is an in-memory Store. Nothing it holds survives the process.
 type MemStore struct {
 	mu     sync.RWMutex
-	mode   WriteMode
-	synced map[string]map[string][]byte   // durable state
-	dirty  map[string]map[string]memEntry // unsynced overlay (WriteAsync)
-	syncs  uint64                         // simulated fsync barriers
+	data   map[string]map[string][]byte
 	closed bool
 }
 
 var _ Store = (*MemStore)(nil)
-var _ Syncer = (*MemStore)(nil)
 
 // NewMemStore returns an empty in-memory store.
-func NewMemStore(mode WriteMode) *MemStore {
-	return &MemStore{
-		mode:   mode,
-		synced: make(map[string]map[string][]byte),
-		dirty:  make(map[string]map[string]memEntry),
-	}
+func NewMemStore() *MemStore {
+	return &MemStore{data: make(map[string]map[string][]byte)}
 }
 
-// Put implements Store.
-func (s *MemStore) Put(bucket, key string, val []byte) error {
-	return s.PutBatch([]Op{{Bucket: bucket, Key: key, Val: val}})
-}
-
-// PutBatch implements Store. In WriteSync mode the whole batch counts as one
-// simulated fsync barrier, modeling the group commit a log-structured store
-// gets for free; in WriteAsync mode the ops land in the overlay and cost no
-// barrier until Sync.
+// PutBatch implements Store.
 func (s *MemStore) PutBatch(ops []Op) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -128,28 +75,15 @@ func (s *MemStore) PutBatch(ops []Op) error {
 	}
 	for _, op := range ops {
 		if op.Delete {
-			s.deleteLocked(op.Bucket, op.Key)
+			delete(s.data[op.Bucket], op.Key)
 			continue
 		}
-		cp := append([]byte(nil), op.Val...)
-		if s.mode == WriteSync {
-			b := s.synced[op.Bucket]
-			if b == nil {
-				b = make(map[string][]byte)
-				s.synced[op.Bucket] = b
-			}
-			b[op.Key] = cp
-			continue
-		}
-		b := s.dirty[op.Bucket]
+		b := s.data[op.Bucket]
 		if b == nil {
-			b = make(map[string]memEntry)
-			s.dirty[op.Bucket] = b
+			b = make(map[string][]byte)
+			s.data[op.Bucket] = b
 		}
-		b[op.Key] = memEntry{val: cp}
-	}
-	if s.mode == WriteSync && len(ops) > 0 {
-		s.syncs++
+		b[op.Key] = append([]byte(nil), op.Val...)
 	}
 	return nil
 }
@@ -161,43 +95,11 @@ func (s *MemStore) Get(bucket, key string) ([]byte, bool, error) {
 	if s.closed {
 		return nil, false, ErrClosed
 	}
-	if e, ok := s.dirty[bucket][key]; ok {
-		if e.deleted {
-			return nil, false, nil
-		}
-		return append([]byte(nil), e.val...), true, nil
+	v, ok := s.data[bucket][key]
+	if !ok {
+		return nil, false, nil
 	}
-	if v, ok := s.synced[bucket][key]; ok {
-		return append([]byte(nil), v...), true, nil
-	}
-	return nil, false, nil
-}
-
-// Delete implements Store.
-func (s *MemStore) Delete(bucket, key string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	s.deleteLocked(bucket, key)
-	if s.mode == WriteSync {
-		s.syncs++
-	}
-	return nil
-}
-
-func (s *MemStore) deleteLocked(bucket, key string) {
-	if s.mode == WriteSync {
-		delete(s.synced[bucket], key)
-		return
-	}
-	b := s.dirty[bucket]
-	if b == nil {
-		b = make(map[string]memEntry)
-		s.dirty[bucket] = b
-	}
-	b[key] = memEntry{deleted: true}
+	return append([]byte(nil), v...), true, nil
 }
 
 // Keys implements Store.
@@ -207,358 +109,16 @@ func (s *MemStore) Keys(bucket string) ([]string, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	set := make(map[string]bool)
-	for k := range s.synced[bucket] {
-		set[k] = true
-	}
-	for k, e := range s.dirty[bucket] {
-		if e.deleted {
-			delete(set, k)
-		} else {
-			set[k] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
+	out := make([]string, 0, len(s.data[bucket]))
+	for k := range s.data[bucket] {
 		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out, nil
 }
 
-// Sync implements Store: it merges the dirty overlay into durable state.
-func (s *MemStore) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	s.syncs++
-	for bucket, entries := range s.dirty {
-		b := s.synced[bucket]
-		if b == nil {
-			b = make(map[string][]byte)
-			s.synced[bucket] = b
-		}
-		for k, e := range entries {
-			if e.deleted {
-				delete(b, k)
-			} else {
-				b[k] = e.val
-			}
-		}
-	}
-	s.dirty = make(map[string]map[string]memEntry)
-	return nil
-}
-
-// Syncs implements Syncer.
-func (s *MemStore) Syncs() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.syncs
-}
-
-// Crash simulates a machine crash: all unsynced writes are lost. The store
-// remains usable, modeling the server restarting with the durable state.
-func (s *MemStore) Crash() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dirty = make(map[string]map[string]memEntry)
-}
-
 // Close implements Store.
 func (s *MemStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	return nil
-}
-
-// DiskStore is a directory-backed Store. Each bucket is a subdirectory and
-// each key a file whose name is the hex encoding of the key (so arbitrary
-// key bytes are safe). Writes go through a temporary file, an fsync, an
-// atomic rename, and an fsync of the parent directory — every Put pays two
-// fsyncs, which is exactly the per-operation cost profile LogStore's group
-// commit exists to amortize.
-type DiskStore struct {
-	mu     sync.Mutex
-	dir    string
-	syncs  uint64
-	closed bool
-}
-
-var _ Store = (*DiskStore)(nil)
-var _ Syncer = (*DiskStore)(nil)
-
-// OpenDisk opens (creating if necessary) a disk store rooted at dir. Stale
-// temporary files left by a crash between CreateTemp and Rename are swept:
-// they were never linked under their key name, so they are invisible to Get
-// and would otherwise accumulate forever.
-func OpenDisk(dir string) (*DiskStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	sweepTempFiles(dir)
-	return &DiskStore{dir: dir}, nil
-}
-
-// sweepTempFiles removes .tmp-* droppings from dir's bucket subdirectories.
-func sweepTempFiles(dir string) {
-	buckets, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, b := range buckets {
-		if !b.IsDir() {
-			if strings.HasPrefix(b.Name(), ".tmp-") || strings.HasPrefix(b.Name(), ".ckpt-") {
-				_ = os.Remove(filepath.Join(dir, b.Name()))
-			}
-			continue
-		}
-		ents, err := os.ReadDir(filepath.Join(dir, b.Name()))
-		if err != nil {
-			continue
-		}
-		for _, ent := range ents {
-			if strings.HasPrefix(ent.Name(), ".tmp-") {
-				_ = os.Remove(filepath.Join(dir, b.Name(), ent.Name()))
-			}
-		}
-	}
-}
-
-// syncDir fsyncs a directory so a rename (or unlink) inside it is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-func (s *DiskStore) bucketDir(bucket string) string {
-	return filepath.Join(s.dir, hex.EncodeToString([]byte(bucket)))
-}
-
-func (s *DiskStore) keyPath(bucket, key string) string {
-	// The "k" prefix keeps the empty key representable as a filename. Keys
-	// whose hex encoding would exceed filesystem name limits are stored
-	// under a hash; the real key is recoverable from the file header.
-	enc := hex.EncodeToString([]byte(key))
-	if len(enc) <= 200 {
-		return filepath.Join(s.bucketDir(bucket), "k"+enc)
-	}
-	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(s.bucketDir(bucket), "h"+hex.EncodeToString(sum[:]))
-}
-
-// encodeRecord frames a key and value into one file body.
-func encodeRecord(key string, val []byte) []byte {
-	out := make([]byte, 4+len(key)+len(val))
-	binary.BigEndian.PutUint32(out, uint32(len(key)))
-	copy(out[4:], key)
-	copy(out[4+len(key):], val)
-	return out
-}
-
-// decodeRecord splits a file body back into key and value.
-func decodeRecord(data []byte) (string, []byte, error) {
-	if len(data) < 4 {
-		return "", nil, errors.New("store: corrupt record header")
-	}
-	n := binary.BigEndian.Uint32(data)
-	if uint64(n)+4 > uint64(len(data)) {
-		return "", nil, errors.New("store: corrupt record key length")
-	}
-	return string(data[4 : 4+n]), data[4+n:], nil
-}
-
-// Put implements Store.
-func (s *DiskStore) Put(bucket, key string, val []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.putLocked(bucket, key, val)
-}
-
-func (s *DiskStore) putLocked(bucket, key string, val []byte) error {
-	bd := s.bucketDir(bucket)
-	if err := os.MkdirAll(bd, 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	tmp, err := os.CreateTemp(bd, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(encodeRecord(key, val)); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("store: %w", err)
-	}
-	// The rename must not be allowed to expose a file whose *contents* are
-	// still in the page cache: fsync the data before linking it under the
-	// key name, then fsync the directory so the rename itself is durable.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("store: %w", err)
-	}
-	s.syncs++
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(name, s.keyPath(bucket, key)); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := syncDir(bd); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	s.syncs++
-	return nil
-}
-
-// PutBatch implements Store. DiskStore has no log to group-commit into: the
-// ops are applied in order with full per-op durability (two fsyncs each) —
-// the baseline the A7 ablation measures LogStore against.
-func (s *DiskStore) PutBatch(ops []Op) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	for _, op := range ops {
-		var err error
-		if op.Delete {
-			err = s.deleteLocked(op.Bucket, op.Key)
-		} else {
-			err = s.putLocked(op.Bucket, op.Key, op.Val)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Get implements Store.
-func (s *DiskStore) Get(bucket, key string) ([]byte, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, false, ErrClosed
-	}
-	data, err := os.ReadFile(s.keyPath(bucket, key))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("store: %w", err)
-	}
-	k, val, err := decodeRecord(data)
-	if err != nil {
-		return nil, false, err
-	}
-	if k != key {
-		return nil, false, nil // hash collision with a different key
-	}
-	return val, true, nil
-}
-
-// Delete implements Store.
-func (s *DiskStore) Delete(bucket, key string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.deleteLocked(bucket, key)
-}
-
-func (s *DiskStore) deleteLocked(bucket, key string) error {
-	err := os.Remove(s.keyPath(bucket, key))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := syncDir(s.bucketDir(bucket)); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	s.syncs++
-	return nil
-}
-
-// Keys implements Store.
-func (s *DiskStore) Keys(bucket string) ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	ents, err := os.ReadDir(s.bucketDir(bucket))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	out := make([]string, 0, len(ents))
-	for _, ent := range ents {
-		switch {
-		case strings.HasPrefix(ent.Name(), "k"):
-			raw, err := hex.DecodeString(ent.Name()[1:])
-			if err != nil {
-				continue // foreign file; ignore
-			}
-			out = append(out, string(raw))
-		case strings.HasPrefix(ent.Name(), "h"):
-			// Long key: recover it from the record header.
-			data, err := os.ReadFile(filepath.Join(s.bucketDir(bucket), ent.Name()))
-			if err != nil {
-				continue
-			}
-			k, _, err := decodeRecord(data)
-			if err != nil {
-				continue
-			}
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// Sync implements Store. Every Put and Delete already fsyncs its data file
-// and parent directory before returning (see putLocked), so there is nothing
-// left to flush here — the durability claim is enforced per operation, which
-// is precisely why this store cannot keep up with batched casts and why
-// LogStore group-commits instead.
-func (s *DiskStore) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return nil
-}
-
-// Syncs implements Syncer.
-func (s *DiskStore) Syncs() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.syncs
-}
-
-// Close implements Store.
-func (s *DiskStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true

@@ -1,33 +1,33 @@
-package store
+package store_test
 
 import (
 	"bytes"
-	"encoding/hex"
-	"fmt"
-	"io/fs"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/store"
 )
 
+// put and del commit a single op, the way a server persists outside a
+// batched cast.
+func put(s store.Store, bucket, key string, val []byte) error {
+	return s.PutBatch([]store.Op{{Bucket: bucket, Key: key, Val: val}})
+}
+
+func del(s store.Store, bucket, key string) error {
+	return s.PutBatch([]store.Op{{Bucket: bucket, Key: key, Delete: true}})
+}
+
 // storeImpls returns a fresh instance of every Store implementation.
-func storeImpls(t *testing.T) map[string]Store {
+func storeImpls(t *testing.T) map[string]store.Store {
 	t.Helper()
-	disk, err := OpenDisk(t.TempDir())
+	logst, err := store.OpenLog(t.TempDir(), store.LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	logst, err := OpenLog(t.TempDir(), LogOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]Store{
-		"mem-sync":  NewMemStore(WriteSync),
-		"mem-async": NewMemStore(WriteAsync),
-		"disk":      disk,
-		"log":       logst,
+	return map[string]store.Store{
+		"mem-sync": store.NewMemStore(),
+		"log":      logst,
 	}
 }
 
@@ -35,7 +35,7 @@ func TestPutGetDeleteAllImpls(t *testing.T) {
 	for name, s := range storeImpls(t) {
 		t.Run(name, func(t *testing.T) {
 			defer s.Close()
-			if err := s.Put("b", "k", []byte("v1")); err != nil {
+			if err := put(s, "b", "k", []byte("v1")); err != nil {
 				t.Fatal(err)
 			}
 			v, ok, err := s.Get("b", "k")
@@ -43,7 +43,7 @@ func TestPutGetDeleteAllImpls(t *testing.T) {
 				t.Fatalf("Get = %q %v %v", v, ok, err)
 			}
 			// Overwrite.
-			if err := s.Put("b", "k", []byte("v2")); err != nil {
+			if err := put(s, "b", "k", []byte("v2")); err != nil {
 				t.Fatal(err)
 			}
 			v, _, _ = s.Get("b", "k")
@@ -59,13 +59,13 @@ func TestPutGetDeleteAllImpls(t *testing.T) {
 				t.Error("bucket leak")
 			}
 			// Delete, including idempotence.
-			if err := s.Delete("b", "k"); err != nil {
+			if err := del(s, "b", "k"); err != nil {
 				t.Fatal(err)
 			}
 			if _, ok, _ := s.Get("b", "k"); ok {
 				t.Error("deleted key found")
 			}
-			if err := s.Delete("b", "k"); err != nil {
+			if err := del(s, "b", "k"); err != nil {
 				t.Fatal("second delete errored:", err)
 			}
 		})
@@ -77,7 +77,7 @@ func TestKeysSortedAllImpls(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			defer s.Close()
 			for _, k := range []string{"zebra", "alpha", "mid"} {
-				if err := s.Put("b", k, []byte(k)); err != nil {
+				if err := put(s, "b", k, []byte(k)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -101,13 +101,13 @@ func TestValueIsolationAllImpls(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			defer s.Close()
 			buf := []byte("data")
-			if err := s.Put("b", "k", buf); err != nil {
+			if err := put(s, "b", "k", buf); err != nil {
 				t.Fatal(err)
 			}
-			buf[0] = 'X' // mutate caller's buffer after Put
+			buf[0] = 'X' // mutate caller's buffer after the commit
 			v, _, _ := s.Get("b", "k")
 			if string(v) != "data" {
-				t.Errorf("Put aliased caller buffer: %q", v)
+				t.Errorf("PutBatch aliased caller buffer: %q", v)
 			}
 			v[0] = 'Y' // mutate returned buffer
 			v2, _, _ := s.Get("b", "k")
@@ -123,7 +123,7 @@ func TestBinaryKeysAllImpls(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			defer s.Close()
 			key := string([]byte{0, 1, '/', '\\', 0xFF, '.', '.'})
-			if err := s.Put("b", key, []byte("bin")); err != nil {
+			if err := put(s, "b", key, []byte("bin")); err != nil {
 				t.Fatal(err)
 			}
 			v, ok, err := s.Get("b", key)
@@ -142,196 +142,111 @@ func TestClosedStoreErrors(t *testing.T) {
 	for name, s := range storeImpls(t) {
 		t.Run(name, func(t *testing.T) {
 			s.Close()
-			if err := s.Put("b", "k", nil); err != ErrClosed {
-				t.Errorf("Put err = %v", err)
+			if err := put(s, "b", "k", nil); err != store.ErrClosed {
+				t.Errorf("put err = %v", err)
 			}
-			if _, _, err := s.Get("b", "k"); err != ErrClosed {
+			if _, _, err := s.Get("b", "k"); err != store.ErrClosed {
 				t.Errorf("Get err = %v", err)
 			}
-			if err := s.Delete("b", "k"); err != ErrClosed {
-				t.Errorf("Delete err = %v", err)
+			if err := del(s, "b", "k"); err != store.ErrClosed {
+				t.Errorf("delete err = %v", err)
 			}
-			if _, err := s.Keys("b"); err != ErrClosed {
+			if _, err := s.Keys("b"); err != store.ErrClosed {
 				t.Errorf("Keys err = %v", err)
-			}
-			if err := s.Sync(); err != ErrClosed {
-				t.Errorf("Sync err = %v", err)
 			}
 		})
 	}
 }
 
-func TestMemCrashLosesUnsyncedWrites(t *testing.T) {
-	s := NewMemStore(WriteAsync)
-	defer s.Close()
-	if err := s.Put("b", "durable", []byte("d")); err != nil {
-		t.Fatal(err)
+// Property: random put/delete batches leave LogStore — with checkpoints
+// interleaved by a tiny CheckpointBytes, and again after a reopen — in the
+// same state as MemStore, the executable reference.
+func TestQuickLogMatchesMemModel(t *testing.T) {
+	type op struct {
+		Del    bool
+		Bucket uint8
+		Key    uint8
+		Val    []byte
 	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("b", "volatile", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete("b", "durable"); err != nil {
-		t.Fatal(err)
-	}
-	// Before the crash the overlay is visible.
-	if _, ok, _ := s.Get("b", "volatile"); !ok {
-		t.Fatal("overlay write invisible")
-	}
-	if _, ok, _ := s.Get("b", "durable"); ok {
-		t.Fatal("overlay delete invisible")
-	}
-
-	s.Crash()
-
-	if _, ok, _ := s.Get("b", "volatile"); ok {
-		t.Error("unsynced write survived crash")
-	}
-	v, ok, _ := s.Get("b", "durable")
-	if !ok || string(v) != "d" {
-		t.Error("unsynced delete survived crash")
-	}
-}
-
-func TestMemSyncModeSurvivesCrash(t *testing.T) {
-	s := NewMemStore(WriteSync)
-	defer s.Close()
-	if err := s.Put("b", "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	s.Crash()
-	if _, ok, _ := s.Get("b", "k"); !ok {
-		t.Error("sync-mode write lost on crash")
-	}
-}
-
-func TestDiskPersistsAcrossReopen(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("seg", "file1", []byte("contents")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := OpenDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	v, ok, err := s2.Get("seg", "file1")
-	if err != nil || !ok || string(v) != "contents" {
-		t.Fatalf("reopened Get = %q %v %v", v, ok, err)
-	}
-}
-
-// A crash between CreateTemp and Rename leaves .tmp-* droppings; OpenDisk
-// must sweep them so they never accumulate or shadow real keys.
-func TestDiskSweepsStaleTempFiles(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("seg", "real", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	// Simulate the crash droppings in the root and in a bucket dir.
-	for _, p := range []string{
-		filepath.Join(dir, ".tmp-123456"),
-		filepath.Join(dir, hex.EncodeToString([]byte("seg")), ".tmp-999999"),
-	} {
-		if err := os.WriteFile(p, []byte("junk"), 0o644); err != nil {
+	buckets := []string{"meta", "data", "b"}
+	f := func(batches [][]op) bool {
+		dir := t.TempDir()
+		ls, err := store.OpenLog(dir, store.LogOptions{CheckpointBytes: 256})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	s2, err := OpenDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if v, ok, _ := s2.Get("seg", "real"); !ok || string(v) != "v" {
-		t.Fatalf("real key lost: %q %v", v, ok)
-	}
-	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err == nil && strings.HasPrefix(filepath.Base(path), ".tmp-") {
-			t.Errorf("stale temp file survived open: %s", path)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: a random sequence of puts/deletes leaves MemStore(WriteAsync)
-// after Sync in the same state as MemStore(WriteSync).
-func TestQuickAsyncSyncEquivalence(t *testing.T) {
-	type op struct {
-		Del bool
-		Key uint8
-		Val []byte
-	}
-	f := func(ops []op) bool {
-		a := NewMemStore(WriteSync)
-		b := NewMemStore(WriteAsync)
-		for _, o := range ops {
-			k := fmt.Sprintf("k%d", o.Key%8)
-			if o.Del {
-				_ = a.Delete("b", k)
-				_ = b.Delete("b", k)
-			} else {
-				_ = a.Put("b", k, o.Val)
-				_ = b.Put("b", k, o.Val)
+		ref := store.NewMemStore()
+		for _, b := range batches {
+			ops := make([]store.Op, len(b))
+			for i, o := range b {
+				ops[i] = store.Op{
+					Bucket: buckets[int(o.Bucket)%len(buckets)],
+					Key:    string([]byte{'k', o.Key % 8}),
+					Val:    o.Val,
+					Delete: o.Del,
+				}
+			}
+			if err := ls.PutBatch(ops); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.PutBatch(ops); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if err := b.Sync(); err != nil {
+		want := dump(t, ref)
+		if !equalState(dump(t, ls), want) {
 			return false
 		}
-		ka, _ := a.Keys("b")
-		kb, _ := b.Keys("b")
-		if len(ka) != len(kb) {
-			return false
+		if err := ls.Close(); err != nil {
+			t.Fatal(err)
 		}
-		for i := range ka {
-			if ka[i] != kb[i] {
-				return false
-			}
-			va, _, _ := a.Get("b", ka[i])
-			vb, _, _ := b.Get("b", kb[i])
-			if !bytes.Equal(va, vb) {
-				return false
-			}
+		re, err := store.OpenLog(dir, store.LogOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return true
+		defer re.Close()
+		return equalState(dump(t, re), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: disk store round-trips arbitrary binary values.
-func TestQuickDiskRoundTrip(t *testing.T) {
-	s, err := OpenDisk(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	f := func(key string, val []byte) bool {
-		if err := s.Put("q", key, val); err != nil {
+// Property: LogStore round-trips arbitrary binary keys and values across a
+// reopen.
+func TestQuickLogRoundTrip(t *testing.T) {
+	f := func(kvs []struct{ K, V []byte }) bool {
+		dir := t.TempDir()
+		s, err := store.OpenLog(dir, store.LogOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make(map[string][]byte)
+		for _, kv := range kvs {
+			if err := put(s, "q", string(kv.K), kv.V); err != nil {
+				t.Fatal(err)
+			}
+			want[string(kv.K)] = kv.V
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s, err = store.OpenLog(dir, store.LogOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		keys, err := s.Keys("q")
+		if err != nil || len(keys) != len(want) {
 			return false
 		}
-		got, ok, err := s.Get("q", key)
-		return err == nil && ok && bytes.Equal(got, val)
+		for k, v := range want {
+			got, ok, err := s.Get("q", k)
+			if err != nil || !ok || !bytes.Equal(got, v) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -55,7 +55,7 @@ func NewNFSCellStores(n int, params core.Params, newStore func(i int) (store.Sto
 			}
 		}
 		if st == nil {
-			st = store.NewMemStore(store.WriteSync)
+			st = store.NewMemStore()
 		}
 		nd, err := c.StartNFSNode(i, st, i == 0, params)
 		if err != nil {

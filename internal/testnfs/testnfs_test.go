@@ -180,7 +180,7 @@ func TestRestartNFSNodeFreshStore(t *testing.T) {
 	victim := 1
 	oldAddr := c.Nodes[victim].Addr
 	c.CrashNFS(victim)
-	nd, err := c.RestartNFSNode(victim, store.NewMemStore(store.WriteSync), oldAddr, core.DefaultParams())
+	nd, err := c.RestartNFSNode(victim, store.NewMemStore(), oldAddr, core.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}

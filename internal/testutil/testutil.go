@@ -65,7 +65,7 @@ func NewCellOpts(n int, iopts isis.Options, copts core.Options) *Cell {
 		c.IDs = append(c.IDs, simnet.NodeID(fmt.Sprintf("srv%d", i)))
 	}
 	for i := 0; i < n; i++ {
-		c.Nodes = append(c.Nodes, c.StartNode(c.IDs[i], store.NewMemStore(store.WriteSync)))
+		c.Nodes = append(c.Nodes, c.StartNode(c.IDs[i], store.NewMemStore()))
 	}
 	return c
 }

@@ -98,7 +98,7 @@ func TestCellRestartFreshStore(t *testing.T) {
 	c := NewCell(2)
 	defer c.Close()
 	c.Crash(1)
-	nd := c.Restart(1, store.NewMemStore(store.WriteSync))
+	nd := c.Restart(1, store.NewMemStore())
 	if nd == nil || c.Nodes[1] != nd {
 		t.Fatal("Restart with a fresh store failed to install the node")
 	}

@@ -60,7 +60,7 @@ func TestTCPCellEndToEnd(t *testing.T) {
 	srvs := make([]*server.Server, 3)
 	addrs := make([]string, 3)
 	for i, p := range peers {
-		srv, addr := startTCPServer(t, peers, string(p), i == 0, store.NewMemStore(store.WriteSync))
+		srv, addr := startTCPServer(t, peers, string(p), i == 0, store.NewMemStore())
 		srvs[i] = srv
 		addrs[i] = addr
 	}
