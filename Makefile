@@ -21,7 +21,7 @@ race:
 	$(GO) test -race ./internal/core ./internal/isis ./internal/server ./internal/agent ./internal/store ./internal/derr
 
 bench-smoke:
-	$(GO) test -run XXX -bench BenchmarkT1 -benchtime=1x .
+	$(GO) test -run XXX -bench 'BenchmarkT1|BenchmarkAblation|BenchmarkContention|BenchmarkHotReadLocal' -benchtime=1x .
 
 # benchmark/ is a module of its own, so ./... above never builds it: vet it
 # and run its one-workload smoke test so a product API it uses cannot be

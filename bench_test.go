@@ -382,52 +382,6 @@ func BenchmarkAblationPiggyback(b *testing.B) {
 	b.Run("piggyback=on", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkAblationForwardSingle measures §3.3's second unimplemented
-// optimization: passing a likely-single update to the token holder instead
-// of acquiring the token. The workload interleaves a streaming writer
-// (which wants to keep the token) with a second server doing one-shot small
-// overwrites; with forwarding on, the one-shots never steal the token, so
-// the stream never pays re-acquisition.
-func BenchmarkAblationForwardSingle(b *testing.B) {
-	run := func(b *testing.B, forward bool) {
-		copts := testutil.FastCoreOpts()
-		copts.ForwardSingles = forward
-		c := testutil.NewCellOpts(2, testutil.FastISISOpts(), copts)
-		b.Cleanup(c.Close)
-		ctx := benchCtx(b)
-		params := core.DefaultParams()
-		params.MinReplicas = 2
-		params.Stability = false
-		id, err := c.Nodes[0].Core.Create(ctx, params)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Nodes[0].Core.Write(ctx, id, core.WriteReq{Data: []byte("seed"), Truncate: true}); err != nil {
-			b.Fatal(err)
-		}
-		addReplicaRetry(b, ctx, c.Nodes[0].Core, id, c.IDs[1])
-		stream, oneShot := c.Nodes[0].Core, c.Nodes[1].Core
-		small := []byte("whole-file overwrite")
-		chunk := []byte("streamed")
-		c.Net.ResetStats()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := oneShot.Write(ctx, id, core.WriteReq{Data: small, Truncate: true}); err != nil {
-				b.Fatal(err)
-			}
-			for j := 0; j < 3; j++ {
-				if _, err := stream.Write(ctx, id, core.WriteReq{Off: int64(len(small)), Data: chunk}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(c.Net.Stats().Sent)/float64(b.N), "msgs/op")
-	}
-	b.Run("forward=off", func(b *testing.B) { run(b, false) })
-	b.Run("forward=on", func(b *testing.B) { run(b, true) })
-}
-
 // BenchmarkAblationHotRoot measures the §7 future-work hot-file mode on its
 // motivating workload: every server repeatedly reading the same root
 // directory. With the mode off only one replica exists and most reads pay a
@@ -479,56 +433,47 @@ func BenchmarkAblationHotRoot(b *testing.B) {
 }
 
 // BenchmarkContentionMultiWriter measures the multi-writer contention path:
-// 4 concurrent writers updating one segment through the same server. With
-// write coalescing on, runs of queued writes ride one batched total-order
-// cast (isis.Group.CastBatch) instead of one cast each; msgs/op shows the
-// saving in network rounds directly.
+// 4 concurrent writers updating one segment through the same server, each
+// write its own total-order cast. msgs/op is the network cost per write.
 func BenchmarkContentionMultiWriter(b *testing.B) {
-	run := func(b *testing.B, coalesce bool) {
-		copts := testutil.FastCoreOpts()
-		copts.Piggyback = true
-		copts.CoalesceWrites = coalesce
-		c := testutil.NewCellOpts(3, testutil.FastISISOpts(), copts)
-		b.Cleanup(c.Close)
-		ctx := benchCtx(b)
-		params := core.DefaultParams()
-		params.MinReplicas = 3
-		id, err := c.Nodes[0].Core.Create(ctx, params)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Nodes[0].Core.Write(ctx, id, core.WriteReq{Data: []byte("seed")}); err != nil {
-			b.Fatal(err)
-		}
-		for r := 1; r < 3; r++ {
-			addReplicaRetry(b, ctx, c.Nodes[0].Core, id, c.IDs[r])
-		}
-		waitBenchStable(b, ctx, c.Nodes[0].Core, id)
-
-		const writers = 4
-		srv := c.Nodes[0].Core
-		payload := []byte("contended-write-payload")
-		c.Net.ResetStats()
-		b.ResetTimer()
-		var wg sync.WaitGroup
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < b.N; i++ {
-					if _, err := srv.Write(ctx, id, core.WriteReq{Off: int64(w * 32), Data: payload}); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		b.StopTimer()
-		b.ReportMetric(float64(c.Net.Stats().Sent)/float64(writers*b.N), "msgs/op")
+	c := testutil.NewCell(3)
+	b.Cleanup(c.Close)
+	ctx := benchCtx(b)
+	params := core.DefaultParams()
+	params.MinReplicas = 3
+	id, err := c.Nodes[0].Core.Create(ctx, params)
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.Run("coalesce=off", func(b *testing.B) { run(b, false) })
-	b.Run("coalesce=on", func(b *testing.B) { run(b, true) })
+	if _, err := c.Nodes[0].Core.Write(ctx, id, core.WriteReq{Data: []byte("seed")}); err != nil {
+		b.Fatal(err)
+	}
+	for r := 1; r < 3; r++ {
+		addReplicaRetry(b, ctx, c.Nodes[0].Core, id, c.IDs[r])
+	}
+	waitBenchStable(b, ctx, c.Nodes[0].Core, id)
+
+	const writers = 4
+	srv := c.Nodes[0].Core
+	payload := []byte("contended-write-payload")
+	c.Net.ResetStats()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < b.N; i++ {
+				if _, err := srv.Write(ctx, id, core.WriteReq{Off: int64(w * 32), Data: payload}); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	b.StopTimer()
+	b.ReportMetric(float64(c.Net.Stats().Sent)/float64(writers*b.N), "msgs/op")
 }
 
 // BenchmarkAblationBatchedCasts is the batched-vs-unbatched ablation for the
@@ -616,54 +561,46 @@ func BenchmarkEnvelopeOps(b *testing.B) {
 	})
 }
 
-// BenchmarkHotReadLocal measures the read-side twin of the batching work:
-// hot reads of an unstable file by a replica holder that is not the token
-// holder, with and without shared read tokens (§4's concurrency-control
-// spectrum; core.Options.NoReadTokens is the ablation switch). Without
-// tokens every read forwards to the token holder; with them one grant cast
-// at warm-up certifies the local replica and every read after it is served
-// locally with zero communication.
+// BenchmarkHotReadLocal measures hot reads of an unstable file by a replica
+// holder that is not the token holder (§4's shared read tokens): one grant
+// cast at warm-up certifies the local replica, and every read after it is
+// served locally with zero communication.
 func BenchmarkHotReadLocal(b *testing.B) {
-	run := func(b *testing.B, tokens bool) {
-		copts := testutil.FastCoreOpts()
-		// Keep the §3.4 unstable window open for the whole measurement.
-		copts.StabilityDelay = time.Minute
-		copts.NoReadTokens = !tokens
-		c := testutil.NewCellOpts(2, testutil.FastISISOpts(), copts)
-		b.Cleanup(c.Close)
-		ctx := benchCtx(b)
-		params := core.DefaultParams()
-		params.MinReplicas = 2
-		id, err := c.Nodes[0].Core.Create(ctx, params)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// The seed write makes srv0 the token holder and leaves the file
-		// unstable for the rest of the run.
-		if _, err := c.Nodes[0].Core.Write(ctx, id, core.WriteReq{Data: []byte("hot-read payload"), Truncate: true}); err != nil {
-			b.Fatal(err)
-		}
-		addReplicaRetry(b, ctx, c.Nodes[0].Core, id, c.IDs[1])
+	copts := testutil.FastCoreOpts()
+	// Keep the §3.4 unstable window open for the whole measurement.
+	copts.StabilityDelay = time.Minute
+	c := testutil.NewCellOpts(2, testutil.FastISISOpts(), copts)
+	b.Cleanup(c.Close)
+	ctx := benchCtx(b)
+	params := core.DefaultParams()
+	params.MinReplicas = 2
+	id, err := c.Nodes[0].Core.Create(ctx, params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The seed write makes srv0 the token holder and leaves the file
+	// unstable for the rest of the run.
+	if _, err := c.Nodes[0].Core.Write(ctx, id, core.WriteReq{Data: []byte("hot-read payload"), Truncate: true}); err != nil {
+		b.Fatal(err)
+	}
+	addReplicaRetry(b, ctx, c.Nodes[0].Core, id, c.IDs[1])
 
-		reader := c.Nodes[1].Core
-		// Warm-up: with tokens on, this read pays the one grant cast.
+	reader := c.Nodes[1].Core
+	// Warm-up: this read pays the one grant cast.
+	if _, _, err := reader.Read(ctx, id, 0, 0, -1); err != nil {
+		b.Fatal(err)
+	}
+	pre := reader.ReadStats()
+	c.Net.ResetStats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		if _, _, err := reader.Read(ctx, id, 0, 0, -1); err != nil {
 			b.Fatal(err)
 		}
-		pre := reader.ReadStats()
-		c.Net.ResetStats()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := reader.Read(ctx, id, 0, 0, -1); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		post := reader.ReadStats()
-		b.ReportMetric(float64(c.Net.Stats().Sent)/float64(b.N), "msgs/read")
-		b.ReportMetric(float64(post.Local-pre.Local)/float64(b.N), "local/read")
-		b.ReportMetric(float64(post.TokenCasts-pre.TokenCasts)/float64(b.N), "casts/read")
 	}
-	b.Run("tokens=off", func(b *testing.B) { run(b, false) })
-	b.Run("tokens=on", func(b *testing.B) { run(b, true) })
+	b.StopTimer()
+	post := reader.ReadStats()
+	b.ReportMetric(float64(c.Net.Stats().Sent)/float64(b.N), "msgs/read")
+	b.ReportMetric(float64(post.Local-pre.Local)/float64(b.N), "local/read")
+	b.ReportMetric(float64(post.TokenCasts-pre.TokenCasts)/float64(b.N), "casts/read")
 }

@@ -2,11 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"repro/internal/derr"
-	"sync"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/derr"
 	"repro/internal/testutil"
 )
 
@@ -16,18 +15,15 @@ func retryCore(fn func() error) error {
 	return derr.RetryIf(10*time.Second, core.IsRetryable, fn)
 }
 
-// This file holds the ablation experiments for the two §3.3 protocol
-// optimizations the paper describes but does not implement ("Deceit
-// currently uses neither of these optimizations"). They quantify what the
-// paper left on the table.
+// This file holds the ablation experiments for two optimizations the paper
+// describes but does not implement: §3.3's update piggybacked on the token
+// request (A1) and §7's hot-file mode (A3). They quantify what the paper
+// left on the table.
 
 func init() {
 	Experiments["A1"] = RunA1
-	Experiments["A2"] = RunA2
 	Experiments["A3"] = RunA3
-	Experiments["A4"] = RunA4
-	Experiments["A5"] = RunA5
-	Order = append(Order, "A1", "A2", "A3", "A4", "A5")
+	Order = append(Order, "A1", "A3")
 }
 
 // ablationCell builds a cell with n servers and one segment replicated on
@@ -109,144 +105,6 @@ func RunA1() (*Table, error) {
 	return t, nil
 }
 
-// RunA2 measures §3.3 optimization 2 (passing a single update to the token
-// holder). One server streams appends (it wants to keep the token) while a
-// second does whole-file single-shot overwrites between bursts.
-func RunA2() (*Table, error) {
-	t := &Table{
-		ID:     "A2",
-		Title:  "ablation: §3.3 optimization 2 — single updates passed to the token holder",
-		Header: []string{"forwarding", "latency/mixed-op", "msgs/mixed-op", "token moved"},
-	}
-	const iters = 200
-	for _, on := range []bool{false, true} {
-		copts := testutil.FastCoreOpts()
-		copts.ForwardSingles = on
-		params := core.DefaultParams()
-		params.MinReplicas = 2
-		params.Stability = false
-		c, id, err := ablationCell(2, copts, params, 2)
-		if err != nil {
-			return nil, err
-		}
-		cx, cancel := ctx()
-		stream, oneShot := c.Nodes[0].Core, c.Nodes[1].Core
-		small := []byte("whole-file overwrite")
-		chunk := []byte("streamed")
-		c.Net.ResetStats()
-		avg := timeAvg(iters, func() error {
-			if _, err := oneShot.Write(cx, id, core.WriteReq{Data: small, Truncate: true}); err != nil {
-				return err
-			}
-			for j := 0; j < 3; j++ {
-				if _, err := stream.Write(cx, id, core.WriteReq{Off: int64(len(small)), Data: chunk}); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		msgs := float64(c.Net.Stats().Sent) / float64(iters)
-		// Probe whether a one-shot overwrite steals the token: write once
-		// from B and inspect the holder before A writes again.
-		if _, err := oneShot.Write(cx, id, core.WriteReq{Data: small, Truncate: true}); err != nil {
-			cancel()
-			c.Close()
-			return nil, err
-		}
-		info, err := stream.Stat(cx, id)
-		if err != nil {
-			cancel()
-			c.Close()
-			return nil, err
-		}
-		moved := "yes"
-		if len(info.Versions) == 1 && info.Versions[0].Holder == stream.ID() {
-			moved = "no"
-		}
-		cancel()
-		c.Close()
-		label := "off"
-		if on {
-			label = "on"
-		}
-		t.Rows = append(t.Rows, []string{label, ms(avg), fmt.Sprintf("%.1f", msgs), moved})
-	}
-	t.Notes = append(t.Notes,
-		"a mixed op is one single-shot overwrite by server B plus a 3-append burst",
-		"by the streaming server A; with forwarding on, B never steals the token,",
-		"so A's stream never pays re-acquisition and total messages drop")
-	return t, nil
-}
-
-// RunA4 measures batched total-order casts beyond the paper: 4 concurrent
-// writers contend on one segment through one server. Unbatched, every write
-// is its own piggyback cast; with write coalescing, each run of queued
-// writes rides a single cast (isis.Group.CastBatch), so per-write message
-// cost collapses.
-func RunA4() (*Table, error) {
-	t := &Table{
-		ID:     "A4",
-		Title:  "ablation: batched total-order casts — 4 concurrent writers, one segment",
-		Header: []string{"batching", "latency/write", "msgs/write"},
-	}
-	const writers = 4
-	const writesPerWriter = 100
-	for _, on := range []bool{false, true} {
-		copts := testutil.FastCoreOpts()
-		copts.Piggyback = true
-		copts.CoalesceWrites = on
-		params := core.DefaultParams()
-		params.MinReplicas = 3
-		c, id, err := ablationCell(3, copts, params, 3)
-		if err != nil {
-			return nil, err
-		}
-		cx, cancel := ctx()
-		srv := c.Nodes[0].Core
-		c.Net.ResetStats()
-		start := time.Now()
-		var wg sync.WaitGroup
-		errCh := make(chan error, writers)
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				payload := []byte("contended-write-payload")
-				for k := 0; k < writesPerWriter; k++ {
-					if _, err := srv.Write(cx, id, core.WriteReq{Off: int64(w * 32), Data: payload}); err != nil {
-						errCh <- err
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		msgs := float64(c.Net.Stats().Sent) / float64(writers*writesPerWriter)
-		cancel()
-		c.Close()
-		select {
-		case err := <-errCh:
-			return nil, err
-		default:
-		}
-		label := "off"
-		if on {
-			label = "on"
-		}
-		t.Rows = append(t.Rows, []string{
-			label,
-			ms(elapsed / time.Duration(writers*writesPerWriter)),
-			fmt.Sprintf("%.1f", msgs),
-		})
-	}
-	t.Notes = append(t.Notes,
-		"4 writers queue on one server; with coalescing, each run of queued",
-		"updates shares one total-order cast with per-op replies, so per-write",
-		"message cost drops >= 2x on this workload (heartbeats included)")
-	return t, nil
-}
-
 // RunA3 measures the §7 future-work hot-file mode against the problem the
 // paper names: "certain files and directories such as the root directory
 // will be accessed very frequently by all servers." Five servers read the
@@ -318,91 +176,5 @@ func RunA3() (*Table, error) {
 	t.Notes = append(t.Notes,
 		"with hot-read on, every server grows a replica during warm-up and all",
 		"reads are local; off, 4 of 5 servers pay a forwarding round trip per read")
-	return t, nil
-}
-
-// RunA5 measures the read-side twin of the A1/A4 write batching: shared
-// read tokens from §4's concurrency-control spectrum. A writer dirties the
-// segment and the §3.4 unstable window is held open; a second replica
-// holder then reads hot. Without read tokens every one of its reads must be
-// forwarded to the token holder (one communication round, two direct
-// messages); with them a single grant cast — paid once, at warm-up —
-// certifies the local replica current and every subsequent read is served
-// locally with zero communication.
-func RunA5() (*Table, error) {
-	t := &Table{
-		ID:     "A5",
-		Title:  "ablation: shared read tokens — hot reads of an unstable file from a replica holder",
-		Header: []string{"read tokens", "latency/read", "rounds/read", "msgs/read", "local/forwarded"},
-	}
-	const iters = 400
-	for _, on := range []bool{false, true} {
-		copts := testutil.FastCoreOpts()
-		// Hold the §3.4 unstable window open across the whole measurement:
-		// stability would let any replica serve reads and hide the effect.
-		copts.StabilityDelay = time.Minute
-		copts.NoReadTokens = !on
-		params := core.DefaultParams()
-		params.MinReplicas = 2
-		c := testutil.NewCellOpts(2, testutil.FastISISOpts(), copts)
-		cx, cancel := ctx()
-		fail := func(err error) (*Table, error) {
-			cancel()
-			c.Close()
-			return nil, err
-		}
-		id, err := c.Nodes[0].Core.Create(cx, params)
-		if err != nil {
-			return fail(fmt.Errorf("create: %w", err))
-		}
-		// The seed write makes srv0 the token holder and leaves the file
-		// unstable for the rest of the run (no waiting for stability here —
-		// the instability is the scenario).
-		if _, err := c.Nodes[0].Core.Write(cx, id, core.WriteReq{Data: []byte("hot-read seed"), Truncate: true}); err != nil {
-			return fail(fmt.Errorf("seed write: %w", err))
-		}
-		// Retried: the first attempt may time out while the target is still
-		// joining the file group (the join itself persists, so a later
-		// attempt finds it done).
-		if err := retryCore(func() error {
-			return c.Nodes[0].Core.AddReplica(cx, id, 0, c.IDs[1])
-		}); err != nil {
-			return fail(fmt.Errorf("add replica: %w", err))
-		}
-		reader := c.Nodes[1].Core
-		// Warm-up read: with tokens on, this is the one that casts the grant.
-		// Retried, because the blast transfer that grew the reader's replica
-		// can still be settling (core.ErrBusy is transient here).
-		if err := retryCore(func() error {
-			_, _, err := reader.Read(cx, id, 0, 0, -1)
-			return err
-		}); err != nil {
-			return fail(fmt.Errorf("warm-up read: %w", err))
-		}
-		pre := reader.ReadStats()
-		c.Net.ResetStats()
-		avg := timeAvg(iters, func() error {
-			_, _, err := reader.Read(cx, id, 0, 0, -1)
-			return err
-		})
-		post := reader.ReadStats()
-		msgs := float64(c.Net.Stats().Sent) / float64(iters)
-		local := post.Local - pre.Local
-		forwarded := post.Forwarded - pre.Forwarded
-		rounds := float64(forwarded+post.TokenCasts-pre.TokenCasts) / float64(iters)
-		cancel()
-		c.Close()
-		label := "off"
-		if on {
-			label = "on"
-		}
-		t.Rows = append(t.Rows, []string{label, ms(avg), fmt.Sprintf("%.2f", rounds),
-			fmt.Sprintf("%.1f", msgs), fmt.Sprintf("%d/%d", local, forwarded)})
-	}
-	t.Notes = append(t.Notes,
-		"the reader holds a current replica but not the write token, and the file",
-		"is mid-write-stream: without read tokens every read pays >= 1 forwarded",
-		"round (casts/read counted as rounds); with them reads cost 0 rounds and",
-		"0 casts — the single grant cast is paid at warm-up (heartbeats in msgs)")
 	return t, nil
 }

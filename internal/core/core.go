@@ -160,17 +160,6 @@ type WriteReq struct {
 	// concurrency mechanism of §5.1. ErrVersionConflict is returned
 	// otherwise.
 	Expect version.Pair
-	// ViaHolder hints that this is likely the only update in a stream, so
-	// the server should pass it to the current token holder rather than
-	// acquiring the token (§3.3 optimization 2). Ignored when this server
-	// already holds the token; falls back to normal token acquisition when
-	// the holder is unreachable.
-	ViaHolder bool
-
-	// noForward marks a request that arrived over the direct channel from
-	// another server, which must execute it locally rather than forwarding
-	// again (the token may have moved since the peer chose us).
-	noForward bool
 }
 
 // ReplicaInfo describes one replica's location and state.

@@ -210,6 +210,23 @@ func TestReadForwardingFromNonReplica(t *testing.T) {
 	if len(info.Versions[0].Replicas) != 1 {
 		t.Errorf("replicas = %v, want 1 (migration off)", info.Versions[0].Replicas)
 	}
+
+	// Straight after a write the file is unstable (§3.4): the non-replica's
+	// read forwards to the token holder and sees the update. A read token
+	// needs a local replica, so b never casts for one.
+	if _, err := a.Write(ctx, id, WriteReq{Data: []byte("forward again"), Truncate: true}); err != nil {
+		t.Fatal(err)
+	}
+	data, _, err = b.Read(ctx, id, 0, 0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != "forward again" {
+		t.Errorf("forwarded read after write = %q", data)
+	}
+	if st := b.ReadStats(); st.Forwarded != 2 || st.Local != 0 || st.TokenCasts != 0 {
+		t.Errorf("read stats = %+v, want 2 forwarded, 0 local, 0 token casts", st)
+	}
 }
 
 func waitStable(t *testing.T, s *Server, id SegID) {

@@ -11,8 +11,8 @@ import (
 	"repro/internal/version"
 )
 
-// ReadStats counts how reads were served; the A5 ablation and the read-token
-// tests read them. All counters are cumulative since server start.
+// ReadStats counts how reads were served; the read-token tests and
+// benchmarks read them. All counters are cumulative since server start.
 type ReadStats struct {
 	Local      uint64 // served from this server's replica, zero communication
 	Forwarded  uint64 // forwarded to another server (Figure 2 / §3.4)
@@ -104,7 +104,7 @@ func (s *Server) readPlanLocked(sg *segment, major uint64, off, n int64) readPla
 
 	// An unstable read blocked only by the missing token is worth one grant
 	// cast: every read after it is local until the next write revokes.
-	p.wantToken = !s.opts.NoReadTokens && p.unstable && !covered && !sg.readDenied &&
+	p.wantToken = p.unstable && !covered && !sg.readDenied &&
 		rep != nil && !p.stale && sg.readyLocked()
 
 	// Stable forwarding candidates: any available replica, preferring the
@@ -321,7 +321,6 @@ func (s *Server) writeOnce(ctx context.Context, id SegID, req WriteReq) (version
 	}
 	params := sg.params
 	holder := ms.holder
-	holderIn := holder != "" && sg.view.Contains(holder)
 	grp := sg.group
 	ready := sg.readyLocked()
 	sg.mu.Unlock()
@@ -331,24 +330,17 @@ func (s *Server) writeOnce(ctx context.Context, id SegID, req WriteReq) (version
 		return version.Pair{}, ErrBusy
 	}
 
-	// §3.3 optimization 2: "pass an update to the current token holder
-	// instead of requesting the token if it is likely that there will be
-	// only one update." The token stays where it is; on any transient
-	// failure we fall through to the normal token path.
-	if holder != s.id && holderIn && !req.noForward && s.shouldForward(req) {
-		pair, err, definitive := s.forwardWrite(ctx, holder, id, req)
-		if definitive {
-			return pair, err
-		}
-	}
-
 	// §3.3 optimization 1: piggyback the update on the token request, one
 	// communication round for token pass + stability notification + update.
 	// Every write goes through the combined cast, including writes while
 	// holding the token (the state machine grants a held token trivially),
 	// so a locally stale holder view can never send a doomed plain update.
 	if s.opts.Piggyback {
-		return s.writePiggyback(ctx, sg, major, req, params)
+		pairs, errs, err := s.writeBatchOnce(ctx, sg, major, []WriteReq{req}, params)
+		if err != nil {
+			return version.Pair{}, err
+		}
+		return pairs[0], errs[0]
 	}
 
 	// Precondition 1 (Table 1): hold the token. "A server that lacks a
@@ -540,136 +532,6 @@ func (s *Server) waitWrite(ctx context.Context, call *isis.Call, k int, mustFrom
 		}
 		want = len(replies) + 1
 	}
-}
-
-// shouldForward decides whether a write is "likely the only update" in the
-// paper's sense: the caller said so explicitly, or the heuristic matches (a
-// small file overwritten whole in a single update, §3.3).
-func (s *Server) shouldForward(req WriteReq) bool {
-	if req.ViaHolder {
-		return true
-	}
-	return s.opts.ForwardSingles && req.Truncate && req.Off == 0 &&
-		len(req.Data) <= s.opts.ForwardMax
-}
-
-// forwardWrite sends the update to the current token holder over the direct
-// channel (§3.3 optimization 2). definitive reports whether the outcome —
-// success or a real error such as a version conflict — settles the write;
-// when false the caller retries through the token-acquisition path.
-func (s *Server) forwardWrite(ctx context.Context, to simnet.NodeID, id SegID, req WriteReq) (version.Pair, error, bool) {
-	fctx, cancel := context.WithTimeout(ctx, s.opts.OpTimeout)
-	defer cancel()
-	resp, err := s.directCall(fctx, to, &directMsg{
-		Kind: dmWriteReq, Seg: id, Major: req.Major,
-		Off: req.Off, Data: req.Data, Truncate: req.Truncate, Expect: req.Expect,
-	})
-	if err != nil {
-		return version.Pair{}, nil, false
-	}
-	if resp.Code == 0 && resp.Err == "" {
-		return resp.Pair, nil, true
-	}
-	switch derr.Code(resp.Code) {
-	case derr.CodeVersionConflict:
-		return version.Pair{}, ErrVersionConflict, true
-	case derr.CodeGone:
-		return version.Pair{}, ErrNotFound, true
-	case derr.CodeDeleted:
-		return version.Pair{}, ErrDeleted, true
-	case derr.CodeWriteUnavailable:
-		return version.Pair{}, ErrWriteUnavailable, true
-	default:
-		// The holder was shutting down, lost the token, or timed out:
-		// not settled; acquire the token ourselves.
-		return version.Pair{}, nil, false
-	}
-}
-
-// writePiggyback performs a non-holder write as a single opTokenUpdate cast
-// (§3.3 optimization 1). The cast's total-order slot simultaneously passes
-// (or generates) the token, marks replicas unstable when stability
-// notification is on, and applies the update at every replica.
-func (s *Server) writePiggyback(ctx context.Context, sg *segment, major uint64, req WriteReq, params Params) (version.Pair, error) {
-	sg.mu.Lock()
-	grp := sg.group
-	dissolved := sg.dissolved
-	sg.mu.Unlock()
-	if grp == nil || dissolved {
-		return version.Pair{}, ErrBusy
-	}
-	call, err := grp.CastCall(encodeCast(&castMsg{
-		Op:       opTokenUpdate,
-		Major:    major,
-		NewMajor: s.majAlloc.Next(),
-		Off:      req.Off,
-		Data:     req.Data,
-		Truncate: req.Truncate,
-		Expect:   req.Expect,
-		HasData:  s.ensureDataForFork(ctx, sg, major),
-	}))
-	if err != nil {
-		if errors.Is(err, isis.ErrDissolved) {
-			return version.Pair{}, ErrBusy
-		}
-		return version.Pair{}, err
-	}
-	wctx, cancel := context.WithTimeout(ctx, s.opts.OpTimeout)
-	replies, err := call.Wait(wctx, 1)
-	cancel()
-	if err != nil || len(replies) == 0 {
-		return version.Pair{}, ErrBusy
-	}
-	first, decErr := decodeReply(replies[0].Data)
-	if decErr != nil {
-		return version.Pair{}, ErrBusy
-	}
-	switch first.Outcome {
-	case tokUnavailable:
-		return version.Pair{}, ErrWriteUnavailable
-	case tokBusy:
-		return version.Pair{}, ErrBusy
-	}
-	if first.failed() {
-		return version.Pair{}, replyErr(first)
-	}
-	granted := first.Major
-
-	// We are the holder now; while the file is unstable, reads forward to
-	// us, so grow a local replica in the background rather than spending a
-	// synchronous round on it (readers retry until it lands).
-	sg.mu.Lock()
-	_, haveReplica := sg.local[granted]
-	sg.mu.Unlock()
-	if !haveReplica {
-		go func() {
-			bctx, bcancel := context.WithTimeout(context.Background(), 2*s.opts.OpTimeout)
-			defer bcancel()
-			_ = s.ensureLocalReplica(bctx, sg, granted)
-		}()
-	}
-
-	defer func() {
-		go s.finishWrite(sg, granted, call)
-		s.scheduleStability(sg, granted)
-	}()
-	safety := s.effectiveSafety(sg, granted, params)
-	if params.Stability {
-		// The cast carried the token pass: every available member must have
-		// applied it before we act as the new holder, or a deposed holder
-		// could briefly serve stale reads (see acquireToken).
-		actx, acancel := context.WithTimeout(ctx, s.opts.OpTimeout)
-		_, _ = call.Wait(actx, isis.All)
-		acancel()
-	}
-	if safety <= 0 {
-		return version.Pair{}, nil
-	}
-	pair, werr := s.waitWrite(ctx, call, safety, s.stabilityAckNode(params))
-	if werr == nil {
-		s.waitRevocations(ctx, call)
-	}
-	return pair, werr
 }
 
 // acquireToken runs the §3.3/§3.5 token protocol: request the token; if the

@@ -189,8 +189,9 @@ const (
 	dmReadResp
 	dmOpenReq // ask a server to join a file group (e.g. as a transfer target)
 	dmOpenResp
-	dmWriteReq // §3.3 optimization 2: pass an update to the token holder
-	dmWriteResp
+	// 7 and 8 are reserved: older minors used them for a write forwarded to
+	// the token holder. A server drops them unanswered, so such a sender
+	// times out and acquires the token itself.
 )
 
 // directMsg is the encoding for all direct inter-server messages.
@@ -210,8 +211,6 @@ type directMsg struct {
 	Size     int64
 	Branches []byte
 	Stable   bool
-	Truncate bool         // dmWriteReq: truncate semantics of the forwarded write
-	Expect   version.Pair // dmWriteReq: optimistic-concurrency expectation
 
 	// Incremental transfer (dmFetchReq/dmFetchResp): a fetcher that still
 	// holds replica bytes from before its crash sends their pair; if the
@@ -239,8 +238,11 @@ func (m *directMsg) MarshalWire(e *wire.Encoder) {
 	e.Int64(m.Size)
 	e.Bytes32(m.Branches)
 	e.Bool(m.Stable)
-	e.Bool(m.Truncate)
-	m.Expect.MarshalWire(e)
+	// Reserved, always zero: a bool and a version pair that older minors
+	// filled for forwarded writes. Kept so the layout is unchanged.
+	e.Bool(false)
+	e.Uint64(0)
+	e.Uint64(0)
 	e.Bool(m.HaveSet)
 	m.Have.MarshalWire(e)
 	e.Bool(m.Unchanged)
@@ -253,8 +255,7 @@ func (m *directMsg) SizeWire() int {
 		m.Pair.SizeWire() +
 		2 + wire.SizeString(m.Err) + 8 +
 		wire.SizeBytes32(m.Branches) +
-		1 + 1 +
-		m.Expect.SizeWire() +
+		1 + (1 + 8 + 8) + // Stable, reserved
 		1 + m.Have.SizeWire() + 1
 }
 
@@ -275,10 +276,9 @@ func (m *directMsg) UnmarshalWire(d *wire.Decoder) error {
 	m.Size = d.Int64()
 	m.Branches = d.Bytes32()
 	m.Stable = d.Bool()
-	m.Truncate = d.Bool()
-	if err := m.Expect.UnmarshalWire(d); err != nil {
-		return err
-	}
+	d.Bool() // reserved
+	d.Uint64()
+	d.Uint64()
 	m.HaveSet = d.Bool()
 	if err := m.Have.UnmarshalWire(d); err != nil {
 		return err

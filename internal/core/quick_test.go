@@ -108,10 +108,10 @@ func TestQuickCastMsgWireRoundTrip(t *testing.T) {
 }
 
 func TestQuickDirectMsgWireRoundTrip(t *testing.T) {
-	f := func(kind uint8, reqID uint64, seg uint64, off, n int64, data []byte, errs string, trunc bool) bool {
+	f := func(kind uint8, reqID uint64, seg uint64, off, n int64, data []byte, errs string, stable bool) bool {
 		m := directMsg{
 			Kind: kind, ReqID: reqID, Seg: SegID(seg),
-			Off: off, N: n, Data: data, Err: errs, Truncate: trunc,
+			Off: off, N: n, Data: data, Err: errs, Stable: stable,
 		}
 		var out directMsg
 		if err := wire.Unmarshal(wire.Marshal(&m), &out); err != nil {
@@ -119,7 +119,7 @@ func TestQuickDirectMsgWireRoundTrip(t *testing.T) {
 		}
 		return out.Kind == m.Kind && out.ReqID == m.ReqID && out.Seg == m.Seg &&
 			out.Off == m.Off && out.N == m.N && bytes.Equal(out.Data, m.Data) &&
-			out.Err == m.Err && out.Truncate == m.Truncate
+			out.Err == m.Err && out.Stable == m.Stable
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

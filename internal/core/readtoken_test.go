@@ -94,46 +94,6 @@ func TestReadTokenServesUnstableReadsLocally(t *testing.T) {
 	}
 }
 
-// TestReadTokensDisabledForwardsEveryRead: the NoReadTokens ablation switch
-// restores the paper's forward-every-read behavior for unstable files.
-func TestReadTokensDisabledForwardsEveryRead(t *testing.T) {
-	c := newTestClusterCore(t, 2, func(o *Options) {
-		o.StabilityDelay = time.Minute
-		o.NoReadTokens = true
-	})
-	ctx := ctxT(t, 20*time.Second)
-	a := c.nodes[0].srv
-	id, err := a.Create(ctx, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Write(ctx, id, WriteReq{Data: []byte("unstable base")}); err != nil {
-		t.Fatal(err)
-	}
-	var aerr error
-	waitUntil(t, 15*time.Second, "replica added", func() bool {
-		aerr = a.AddReplica(ctx, id, 0, c.ids[1])
-		return aerr == nil || !IsRetryable(aerr)
-	})
-	if aerr != nil {
-		t.Fatal(aerr)
-	}
-
-	reader := c.nodes[1].srv
-	for i := 0; i < 3; i++ {
-		if _, _, err := reader.Read(ctx, id, 0, 0, -1); err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-	}
-	st := reader.ReadStats()
-	if st.TokenCasts != 0 {
-		t.Errorf("token casts = %d with read tokens disabled", st.TokenCasts)
-	}
-	if st.Forwarded < 3 {
-		t.Errorf("forwarded reads = %d, want >= 3 (every unstable read forwards)", st.Forwarded)
-	}
-}
-
 // TestReadTokenRevocationUnderViewChange is the chaos case: a reader holding
 // a read token partitions away mid-write-stream. The writer's side must keep
 // making progress — the view change strips the departed reader from the

@@ -51,37 +51,6 @@ type Options struct {
 	// the notification and the update atomically in the same total-order
 	// slot).
 	Piggyback bool
-	// ForwardSingles enables the second §3.3 optimization: "pass an update
-	// to the current token holder instead of requesting the token if it is
-	// likely that there will be only one update; for example, a small file
-	// that is overwritten in a single update." Writes that overwrite the
-	// whole segment (offset 0, truncate) and are at most ForwardMax bytes
-	// are sent to the holder over the direct channel, leaving the token
-	// where it is. Callers can also request forwarding explicitly per write
-	// with WriteReq.ViaHolder.
-	ForwardSingles bool
-	// ForwardMax bounds the size of writes the ForwardSingles heuristic
-	// forwards. Default 8 KiB.
-	ForwardMax int
-	// NoReadTokens disables shared read tokens (§4's read-side concurrency
-	// control). By default a replica whose reads of an unstable file would
-	// forward to the token holder instead acquires a shared read token with
-	// one cast and then serves every subsequent read from its own replica
-	// until a write revokes the token; writers collect revocation
-	// acknowledgements before returning, preserving one-copy semantics. Set
-	// this to restore the paper's forward-every-read behavior (the A5
-	// ablation baseline).
-	NoReadTokens bool
-	// CoalesceWrites routes concurrent writes to the same segment through a
-	// per-segment op queue that packs a whole run of queued updates into one
-	// batched total-order cast (isis.Group.CastBatch): N queued writes cost
-	// one communication round instead of N. This extends the §3.3 piggyback
-	// optimization from "the update rides the token request" to "any run of
-	// same-holder updates rides one cast".
-	CoalesceWrites bool
-	// BatchMax bounds the number of updates packed into one batched cast.
-	// Default 64.
-	BatchMax int
 }
 
 func (o *Options) fill() {
@@ -99,12 +68,6 @@ func (o *Options) fill() {
 	}
 	if o.JoinWait <= 0 {
 		o.JoinWait = time.Second
-	}
-	if o.ForwardMax <= 0 {
-		o.ForwardMax = 8 << 10
-	}
-	if o.BatchMax <= 0 {
-		o.BatchMax = 64
 	}
 }
 
@@ -477,23 +440,16 @@ func (s *Server) TransferStats() TransferStats {
 
 // Write applies one update (§5.1). It returns the version pair of the
 // segment after the write. With write safety 0 the write is asynchronous and
-// the returned pair is zero. With Options.CoalesceWrites, concurrent writes
-// to the same segment ride a shared batched cast (see wbatch.go).
+// the returned pair is zero. A run of updates to one segment should use
+// WriteBatch, which packs them into one cast.
 func (s *Server) Write(ctx context.Context, id SegID, req WriteReq) (version.Pair, error) {
 	var pair version.Pair
-	once := func() error {
+	err := s.retry(ctx, func() error {
 		var err error
 		pair, err = s.writeOnce(ctx, id, req)
 		return err
-	}
-	if s.opts.CoalesceWrites && coalescible(req) {
-		once = func() error {
-			var err error
-			pair, err = s.writeCoalescedOnce(ctx, id, req)
-			return err
-		}
-	}
-	return pair, s.retry(ctx, once)
+	})
+	return pair, err
 }
 
 // retry re-runs fn while it reports a retryable condition (IsRetryable),

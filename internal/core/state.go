@@ -139,12 +139,6 @@ type segment struct {
 
 	group *isis.Group
 
-	// Write-coalescing queue (Options.CoalesceWrites): pending writes wait
-	// here until the current leader packs them into one batched cast.
-	wqMu      sync.Mutex
-	wqPending []*pendingWrite
-	wqActive  bool
-
 	// Group-commit staging (§3.5): while a batched cast is being applied,
 	// persistence writes land here instead of the store and are flushed as
 	// one Store.PutBatch — a single fsync for the whole cast — before the

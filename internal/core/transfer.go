@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/derr"
@@ -441,7 +440,7 @@ func (s *Server) directLoop() {
 				continue
 			}
 			switch dm.Kind {
-			case dmFetchResp, dmReadResp:
+			case dmFetchResp, dmReadResp, dmOpenResp:
 				if ch, ok := s.pending.Load(dm.ReqID); ok {
 					select {
 					case ch.(chan *directMsg) <- &dm:
@@ -454,22 +453,6 @@ func (s *Server) directLoop() {
 				go s.serveRead(m.From, &dm)
 			case dmOpenReq:
 				go s.serveOpen(m.From, &dm)
-			case dmWriteReq:
-				go s.serveWrite(m.From, &dm)
-			case dmWriteResp:
-				if ch, ok := s.pending.Load(dm.ReqID); ok {
-					select {
-					case ch.(chan *directMsg) <- &dm:
-					default:
-					}
-				}
-			case dmOpenResp:
-				if ch, ok := s.pending.Load(dm.ReqID); ok {
-					select {
-					case ch.(chan *directMsg) <- &dm:
-					default:
-					}
-				}
 			}
 		case <-s.done:
 			return
@@ -573,34 +556,6 @@ func (s *Server) serveRead(from simnet.NodeID, req *directMsg) {
 	s.sendDirect(from, resp)
 }
 
-// serveWrite executes a write forwarded by a peer that chose not to move the
-// token (§3.3 optimization 2). The request runs through the normal write
-// path: if this server still holds the token the update costs its one round;
-// if the token moved since the peer's decision, noForward keeps the request
-// from bouncing between servers and we acquire the token as usual.
-func (s *Server) serveWrite(from simnet.NodeID, req *directMsg) {
-	resp := &directMsg{Kind: dmWriteResp, ReqID: req.ReqID, Seg: req.Seg, Major: req.Major}
-	ctx, cancel := context.WithTimeout(context.Background(), s.opts.OpTimeout)
-	defer cancel()
-	pair, err := s.Write(ctx, req.Seg, WriteReq{
-		Major:     req.Major,
-		Off:       req.Off,
-		Data:      req.Data,
-		Truncate:  req.Truncate,
-		Expect:    req.Expect,
-		noForward: true,
-	})
-	if err == nil {
-		resp.Pair = pair
-	} else {
-		// CodeOf collapses the local error to its wire code: the forwarding
-		// peer decides from the code alone whether the outcome is settled
-		// (conflict, gone, unavailable) or worth retrying via the token path.
-		resp.fail(derr.CodeOf(err), err.Error())
-	}
-	s.sendDirect(from, resp)
-}
-
 // serveOpen joins the named file group on request, so the requester can add
 // this server to the group (e.g. as a replica transfer target).
 func (s *Server) serveOpen(from simnet.NodeID, req *directMsg) {
@@ -614,8 +569,6 @@ func (s *Server) serveOpen(from simnet.NodeID, req *directMsg) {
 }
 
 func (s *Server) sendDirect(to simnet.NodeID, m *directMsg) {
-	if err := s.dtr.Send(to, wire.MarshalSized(m)); err != nil {
-		// Best-effort: the requester will time out and retry.
-		_ = fmt.Sprintf("%v", err)
-	}
+	// Best-effort: on a send error the requester times out and retries.
+	_ = s.dtr.Send(to, wire.MarshalSized(m))
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 
-	"repro/internal/derr"
 	"repro/internal/isis"
 	"repro/internal/version"
 )
@@ -18,9 +17,12 @@ import (
 // communication round instead of N.
 //
 // Two callers feed it: Server.WriteBatch, the explicit multi-op call the NFS
-// envelope uses for multi-block writes and header+payload bursts, and the
-// per-segment coalescing queue (Options.CoalesceWrites), which packs
-// concurrent single writes from independent callers into one cast.
+// envelope uses for multi-block writes and header+payload bursts, and
+// writeOnce under Options.Piggyback, which sends a single write as a
+// one-op batch.
+
+// batchMax bounds the number of updates packed into one batched cast.
+const batchMax = 64
 
 // WriteBatch applies a run of updates to one segment, packing them into a
 // single total-order cast whenever possible. It returns the post-write
@@ -37,10 +39,10 @@ func (s *Server) WriteBatch(ctx context.Context, id SegID, reqs []WriteReq) ([]v
 		pair, err := s.Write(ctx, id, reqs[0])
 		return []version.Pair{pair}, err
 	}
-	// The batch cast targets one version stream: mixed explicit majors or
-	// per-op forwarding hints fall back to the sequential path.
+	// The batch cast targets one version stream: mixed explicit majors fall
+	// back to the sequential path.
 	for _, r := range reqs {
-		if r.Major != reqs[0].Major || r.ViaHolder || r.noForward {
+		if r.Major != reqs[0].Major {
 			return s.writeSeq(ctx, id, reqs)
 		}
 	}
@@ -48,8 +50,8 @@ func (s *Server) WriteBatch(ctx context.Context, id SegID, reqs []WriteReq) ([]v
 	pairs := make([]version.Pair, len(reqs))
 	for first := 0; first < len(reqs); {
 		chunk := reqs[first:]
-		if len(chunk) > s.opts.BatchMax {
-			chunk = chunk[:s.opts.BatchMax]
+		if len(chunk) > batchMax {
+			chunk = chunk[:batchMax]
 		}
 		var ps []version.Pair
 		var errs []error
@@ -266,93 +268,5 @@ func (s *Server) collectAsyncErrs(ctx context.Context, bc *isis.BatchCall, errs 
 		if cr, decErr := decodeReply(replies[0].Data); decErr == nil && cr.failed() {
 			errs[i] = replyErr(cr)
 		}
-	}
-}
-
-// ------------------------------------------------------ write coalescing --
-
-// pendingWrite is one caller's write waiting in a segment's coalescing
-// queue. done is closed once the leader has filled pair/err.
-type pendingWrite struct {
-	req  WriteReq
-	pair version.Pair
-	err  error
-	done chan struct{}
-}
-
-// coalescible reports whether a write may ride the shared per-segment queue:
-// explicit version targets and forwarding hints keep their dedicated paths.
-func coalescible(req WriteReq) bool {
-	return req.Major == 0 && !req.ViaHolder && !req.noForward && req.Expect.IsZero()
-}
-
-// writeCoalescedOnce enqueues one write and waits for the batch it rode in.
-// The caller that finds the queue idle starts a drainer goroutine, which
-// packs each run of pending writes into one batched cast. The drainer is
-// deliberately not tied to any caller: every caller waits only on its own
-// op (or its own ctx), so one caller's deadline never delays the others.
-func (s *Server) writeCoalescedOnce(ctx context.Context, id SegID, req WriteReq) (version.Pair, error) {
-	sg, err := s.openSegment(ctx, id)
-	if err != nil {
-		return version.Pair{}, err
-	}
-	pw := &pendingWrite{req: req, done: make(chan struct{})}
-	sg.wqMu.Lock()
-	sg.wqPending = append(sg.wqPending, pw)
-	start := !sg.wqActive
-	if start {
-		sg.wqActive = true
-	}
-	sg.wqMu.Unlock()
-	if start {
-		go s.drainWriteQueue(sg)
-	}
-	select {
-	case <-pw.done:
-		return pw.pair, pw.err
-	case <-ctx.Done():
-		// The drainer still completes the op; only this caller stops waiting.
-		return version.Pair{}, derr.FromContext(ctx, "core.write")
-	}
-}
-
-// drainWriteQueue runs batches until the queue empties. Each batch uses its
-// own background deadline so one caller's cancellation cannot poison the
-// other writes riding the same cast.
-func (s *Server) drainWriteQueue(sg *segment) {
-	for {
-		sg.wqMu.Lock()
-		batch := sg.wqPending
-		if len(batch) == 0 {
-			sg.wqActive = false
-			sg.wqMu.Unlock()
-			return
-		}
-		if len(batch) > s.opts.BatchMax {
-			batch = batch[:s.opts.BatchMax]
-			sg.wqPending = append([]*pendingWrite(nil), sg.wqPending[s.opts.BatchMax:]...)
-		} else {
-			sg.wqPending = nil
-		}
-		sg.wqMu.Unlock()
-		s.runCoalescedBatch(sg, batch)
-	}
-}
-
-func (s *Server) runCoalescedBatch(sg *segment, batch []*pendingWrite) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*s.opts.OpTimeout)
-	defer cancel()
-	reqs := make([]WriteReq, len(batch))
-	for i, pw := range batch {
-		reqs[i] = pw.req
-	}
-	pairs, errs, err := s.writeBatchAttempt(ctx, sg.id, reqs)
-	for i, pw := range batch {
-		if err != nil {
-			pw.err = err // batch-level: waiters retry and re-coalesce
-		} else {
-			pw.pair, pw.err = pairs[i], errs[i]
-		}
-		close(pw.done)
 	}
 }
