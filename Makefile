@@ -18,7 +18,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core ./internal/isis ./internal/server ./internal/agent ./internal/store ./internal/derr
+	$(GO) test -race ./internal/core ./internal/isis ./internal/server ./internal/agent ./internal/derr
 
 bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkT1|BenchmarkAblation|BenchmarkContention|BenchmarkHotReadLocal' -benchtime=1x .

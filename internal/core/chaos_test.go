@@ -35,7 +35,7 @@ type chaosState struct {
 	rng *rand.Rand
 
 	alive      []bool
-	stores     []*store.MemStore
+	stores     []store.Store
 	minority   map[int]bool // nodes currently cut off by a partition
 	acceptable map[string]bool
 	forkable   map[string]bool // failed-write states that may resurface as forks (§3.6)
@@ -327,7 +327,7 @@ func runChaos(t *testing.T, seed int64, steps int) {
 		t: t, c: c, id: id,
 		rng:        rand.New(rand.NewSource(seed)),
 		alive:      []bool{true, true, true, true, true},
-		stores:     make([]*store.MemStore, 5),
+		stores:     make([]store.Store, 5),
 		minority:   map[int]bool{},
 		acceptable: map[string]bool{"state-0000": true},
 		forkable:   map[string]bool{},

@@ -28,7 +28,7 @@ type testNode struct {
 	id    simnet.NodeID
 	demux *simnet.Demux
 	proc  *isis.Process
-	st    *store.MemStore
+	st    store.Store
 	srv   *Server
 }
 
@@ -68,13 +68,18 @@ func newTestClusterOpts(t *testing.T, n int, iopts isis.Options) *testCluster {
 }
 
 func newTestClusterFull(t *testing.T, n int, iopts isis.Options, copts Options) *testCluster {
+	return newTestClusterStores(t, n, iopts, copts, func(int) store.Store { return store.NewMemStore() })
+}
+
+// newTestClusterStores builds a cluster whose node i persists into newStore(i).
+func newTestClusterStores(t *testing.T, n int, iopts isis.Options, copts Options, newStore func(i int) store.Store) *testCluster {
 	t.Helper()
 	c := &testCluster{t: t, net: simnet.NewNetwork(), iopts: iopts, copts: copts}
 	for i := 0; i < n; i++ {
 		c.ids = append(c.ids, simnet.NodeID(fmt.Sprintf("srv%d", i)))
 	}
 	for i := 0; i < n; i++ {
-		c.nodes = append(c.nodes, c.startNode(c.ids[i], store.NewMemStore()))
+		c.nodes = append(c.nodes, c.startNode(c.ids[i], newStore(i)))
 	}
 	t.Cleanup(func() {
 		for _, nd := range c.nodes {
@@ -88,7 +93,7 @@ func newTestClusterFull(t *testing.T, n int, iopts isis.Options, copts Options) 
 	return c
 }
 
-func (c *testCluster) startNode(id simnet.NodeID, st *store.MemStore) *testNode {
+func (c *testCluster) startNode(id simnet.NodeID, st store.Store) *testNode {
 	ep := c.net.Attach(id)
 	demux := simnet.NewDemux(ep)
 	proc := isis.NewProcess(demux.Channel(0), c.ids, c.iopts)
@@ -106,7 +111,7 @@ func (c *testCluster) crash(i int) {
 }
 
 // restart brings node i back with its (possibly crash-truncated) store.
-func (c *testCluster) restart(i int, st *store.MemStore) *testNode {
+func (c *testCluster) restart(i int, st store.Store) *testNode {
 	nd := c.startNode(c.ids[i], st)
 	c.nodes[i] = nd
 	return nd

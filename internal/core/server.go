@@ -226,8 +226,15 @@ func (s *Server) createSeg(ctx context.Context, id SegID, params Params) (SegID,
 	}
 	sg.group = grp
 	s.tab.put(id, sg)
+	sg.mu.Lock()
 	s.persistMeta(sg)
 	s.persistReplica(sg, version.InitialMajor, sg.local[version.InitialMajor])
+	err = sg.commitLocked()
+	sg.mu.Unlock()
+	if err != nil {
+		s.forgetSegment(id)
+		return 0, err
+	}
 	return id, nil
 }
 
@@ -725,13 +732,15 @@ func dataKey(id SegID, major uint64) string {
 	return fmt.Sprintf("%016x/%016x", uint64(id), major)
 }
 
+// The persist helpers stage records into the segment's commit window (see
+// segment.dirty); callers hold sg.mu and commit before releasing it.
+
 func (s *Server) persistMeta(sg *segment) {
-	// Callers hold sg.mu.
-	s.stPut(sg, bucketMeta, segKey(sg.id), wire.MarshalSized(sg.snapshotLocked()))
+	sg.stageLocked(store.Op{Bucket: bucketMeta, Key: segKey(sg.id), Val: wire.MarshalSized(sg.snapshotLocked())})
 }
 
 func (s *Server) deleteMeta(sg *segment) {
-	s.stDelete(sg, bucketMeta, segKey(sg.id))
+	sg.stageLocked(store.Op{Bucket: bucketMeta, Key: segKey(sg.id), Delete: true})
 }
 
 func (s *Server) persistReplica(sg *segment, major uint64, rep *localReplica) {
@@ -739,25 +748,7 @@ func (s *Server) persistReplica(sg *segment, major uint64, rep *localReplica) {
 	rep.pair.MarshalWire(e)
 	e.Bool(rep.stable)
 	e.Bytes32(rep.data)
-	s.stPut(sg, bucketData, dataKey(sg.id, major), e.Bytes())
-}
-
-// stPut routes a persistence write through the segment's group-commit stage
-// when a batched cast is being applied, else commits it to the store alone.
-func (s *Server) stPut(sg *segment, bucket, key string, val []byte) {
-	op := store.Op{Bucket: bucket, Key: key, Val: val}
-	if sg != nil && sg.stage(op) {
-		return
-	}
-	_ = s.st.PutBatch([]store.Op{op})
-}
-
-func (s *Server) stDelete(sg *segment, bucket, key string) {
-	op := store.Op{Bucket: bucket, Key: key, Delete: true}
-	if sg != nil && sg.stage(op) {
-		return
-	}
-	_ = s.st.PutBatch([]store.Op{op})
+	sg.stageLocked(store.Op{Bucket: bucketData, Key: dataKey(sg.id, major), Val: e.Bytes()})
 }
 
 func (s *Server) loadReplica(id SegID, major uint64) *localReplica {
@@ -779,7 +770,7 @@ func (s *Server) loadReplica(id SegID, major uint64) *localReplica {
 }
 
 func (s *Server) deleteReplicaData(sg *segment, major uint64) {
-	s.stDelete(sg, bucketData, dataKey(sg.id, major))
+	sg.stageLocked(store.Op{Bucket: bucketData, Key: dataKey(sg.id, major), Delete: true})
 }
 
 // ------------------------------------------------------------ app glue --
@@ -789,29 +780,38 @@ type segApp struct {
 	sg *segment
 }
 
+// Deliver applies a single-op cast as a one-element DeliverBatch.
 func (a *segApp) Deliver(from simnet.NodeID, payload []byte) []byte {
-	var m castMsg
-	if err := wire.Unmarshal(payload, &m); err != nil {
-		return wire.MarshalSized(replyFail(derr.CodeInvalid, "bad message: "+err.Error()))
-	}
-	// The reply is retained by the isis layer (reply demux and possible
-	// retransmission), so it owns an exact-size buffer.
-	return wire.MarshalSized(a.sg.apply(from, &m))
+	return a.DeliverBatch(from, [][]byte{payload})[0]
 }
 
-// DeliverBatch applies a batched cast's sub-ops back to back and persists
-// everything they dirtied as one Store.PutBatch: on a log-structured store
-// the whole cast costs a single fsync (§3.5 group commit), and the flush
-// happens before the replies — the origin's acks — are returned.
+// DeliverBatch applies a cast's sub-ops back to back and persists everything
+// they dirtied as one Store.PutBatch: on a log-structured store the whole
+// cast costs a single fsync per member (§3.5 group commit). The commit
+// returns before the replies — the origin's acks — do, and if it fails every
+// sub-op replies CodeInternal instead of its outcome.
 func (a *segApp) DeliverBatch(from simnet.NodeID, payloads [][]byte) [][]byte {
 	sg := a.sg
-	sg.beginCommit()
-	outs := make([][]byte, len(payloads))
-	for i, sp := range payloads {
-		outs[i] = a.Deliver(from, sp)
+	replies := make([]*castReply, len(payloads))
+	sg.mu.Lock()
+	for i, p := range payloads {
+		var m castMsg
+		if err := wire.Unmarshal(p, &m); err != nil {
+			replies[i] = replyFail(derr.CodeInvalid, "bad message: "+err.Error())
+			continue
+		}
+		replies[i] = sg.applyLocked(from, &m)
 	}
-	if ops := sg.endCommit(); len(ops) > 0 {
-		_ = sg.srv.st.PutBatch(ops)
+	err := sg.commitLocked()
+	sg.mu.Unlock()
+	outs := make([][]byte, len(replies))
+	for i, r := range replies {
+		if err != nil {
+			r = replyFail(derr.CodeInternal, err.Error())
+		}
+		// The reply is retained by the isis layer (reply demux and possible
+		// retransmission), so it owns an exact-size buffer.
+		outs[i] = wire.MarshalSized(r)
 	}
 	return outs
 }
@@ -873,6 +873,9 @@ func (a *segApp) Merge(snap []byte) {
 	}
 	a.sg.mu.Lock()
 	a.sg.mergeSnapshotLocked(&ss, true)
+	// Merge has no reply to fail. The LogStore fails stop, so if this
+	// commit failed the next one fails too, and that one has a caller.
+	_ = a.sg.commitLocked()
 	a.sg.mu.Unlock()
 }
 

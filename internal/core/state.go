@@ -139,54 +139,43 @@ type segment struct {
 
 	group *isis.Group
 
-	// Group-commit staging (§3.5): while a batched cast is being applied,
-	// persistence writes land here instead of the store and are flushed as
-	// one Store.PutBatch — a single fsync for the whole cast — before the
-	// batch's replies (the acks) go back to the origin. Guarded by its own
-	// mutex because some persist call sites run outside sg.mu.
-	stageMu   sync.Mutex
-	batching  bool
-	staged    []store.Op
-	stagedIdx map[string]int
+	// dirty is the group-commit window (§3.5): the store records written by
+	// the entry point now holding sg.mu — a delivered cast (one op or a
+	// batch), createSeg, a transfer install or a Merge. Each entry point
+	// stages its records and ends with commitLocked before it releases
+	// sg.mu, so one entry point's records never ride another's batch, the
+	// batches reach the store in apply order, and nothing is acknowledged
+	// before its own PutBatch returns. Empty whenever sg.mu is free.
+	dirty []store.Op
 }
 
-// stage buffers op if a group commit is open on this segment, keeping ops in
-// first-write order with last-value-wins dedup per key. Reports whether the
-// op was captured.
-func (sg *segment) stage(op store.Op) bool {
-	sg.stageMu.Lock()
-	defer sg.stageMu.Unlock()
-	if !sg.batching {
-		return false
+// stageLocked adds op to the commit window, keeping first-write order with
+// the last value winning per key: a cast that rewrites the same record
+// several times commits it once.
+func (sg *segment) stageLocked(op store.Op) {
+	for i := range sg.dirty {
+		if sg.dirty[i].Bucket == op.Bucket && sg.dirty[i].Key == op.Key {
+			sg.dirty[i] = op
+			return
+		}
 	}
-	k := op.Bucket + "\x00" + op.Key
-	if i, ok := sg.stagedIdx[k]; ok {
-		sg.staged[i] = op
-		return true
+	sg.dirty = append(sg.dirty, op)
+}
+
+// commitLocked closes the commit window: everything staged since the last
+// commit goes to the store as one PutBatch — a single fsync on the log
+// store. Its error is the caller's to report; the LogStore fails stop, so
+// after one failed commit every later one fails too.
+func (sg *segment) commitLocked() error {
+	ops := sg.dirty
+	sg.dirty = nil
+	if len(ops) == 0 {
+		return nil
 	}
-	sg.stagedIdx[k] = len(sg.staged)
-	sg.staged = append(sg.staged, op)
-	return true
-}
-
-// beginCommit opens a group-commit window; endCommit closes it and returns
-// the staged ops for a single PutBatch.
-func (sg *segment) beginCommit() {
-	sg.stageMu.Lock()
-	sg.batching = true
-	sg.stagedIdx = make(map[string]int)
-	sg.staged = nil
-	sg.stageMu.Unlock()
-}
-
-func (sg *segment) endCommit() []store.Op {
-	sg.stageMu.Lock()
-	ops := sg.staged
-	sg.batching = false
-	sg.staged = nil
-	sg.stagedIdx = nil
-	sg.stageMu.Unlock()
-	return ops
+	if err := sg.srv.st.PutBatch(ops); err != nil {
+		return derr.Wrap(derr.CodeInternal, "core.commit", err)
+	}
+	return nil
 }
 
 func newSegment(srv *Server, id SegID) *segment {
@@ -234,14 +223,11 @@ func (sg *segment) currentMajorLocked() uint64 {
 
 // ----------------------------------------------------------- application --
 
-// apply executes one delivered cast against the state machine. It is called
-// on the group delivery goroutine in identical order at every member, so
-// every state transition here must be a deterministic function of
+// applyLocked executes one delivered cast against the state machine. It is
+// called on the group delivery goroutine in identical order at every member,
+// so every state transition here must be a deterministic function of
 // (current state, from, msg).
-func (sg *segment) apply(from simnet.NodeID, m *castMsg) *castReply {
-	sg.mu.Lock()
-	defer sg.mu.Unlock()
-
+func (sg *segment) applyLocked(from simnet.NodeID, m *castMsg) *castReply {
 	if sg.deleted && m.Op != opDeleteSeg {
 		return replyFail(derr.CodeDeleted, "deleted")
 	}

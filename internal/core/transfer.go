@@ -155,7 +155,7 @@ func (s *Server) fetchReplica(sg *segment, major uint64, source simnet.NodeID) {
 			}
 			resp, err := s.directCall(ctx, source, req)
 			if err != nil || resp.failed() {
-				s.abortTransfer(sg, major)
+				s.castTransferOutcome(ctx, sg, &castMsg{Op: opAbortTransfer, Major: major})
 				return
 			}
 			if off == 0 && resp.Unchanged {
@@ -188,25 +188,43 @@ func (s *Server) fetchReplica(sg *segment, major uint64, source simnet.NodeID) {
 		}
 	}
 
+	// Install only what is durable: a replica whose commit failed is neither
+	// kept nor announced, and the abort lets the holder resume updates.
 	sg.mu.Lock()
 	rep := &localReplica{data: buf, pair: pair, stable: stable}
-	sg.local[major] = rep
-	sg.mu.Unlock()
 	s.persistReplica(sg, major, rep)
-
-	grp := sg.groupHandle()
-	if grp == nil {
+	err := sg.commitLocked()
+	if err == nil {
+		sg.local[major] = rep
+	}
+	sg.mu.Unlock()
+	if err != nil {
+		s.castTransferOutcome(ctx, sg, &castMsg{Op: opAbortTransfer, Major: major})
 		return
 	}
-	_ = grp.CastAsync(encodeCast(&castMsg{Op: opReplicaReady, Major: major, Pair: pair}))
+	s.castTransferOutcome(ctx, sg, &castMsg{Op: opReplicaReady, Major: major, Pair: pair})
 }
 
-func (s *Server) abortTransfer(sg *segment, major uint64) {
-	grp := sg.groupHandle()
-	if grp == nil {
-		return
+// castTransferOutcome casts a transfer target's opReplicaReady or
+// opAbortTransfer. A target that joined the group for this transfer starts
+// delivering casts before its join has stored the group handle, so a fast
+// pull can finish first: the cast waits for the handle, bounded by ctx,
+// because dropping it would leave the file frozen for updates until the
+// holder's transfer times out.
+func (s *Server) castTransferOutcome(ctx context.Context, sg *segment, m *castMsg) {
+	for {
+		if grp := sg.groupHandle(); grp != nil {
+			_ = grp.CastAsync(encodeCast(m))
+			return
+		}
+		select {
+		case <-ctx.Done():
+			return
+		case <-s.done:
+			return
+		case <-time.After(s.opts.RetryDelay):
+		}
 	}
-	_ = grp.CastAsync(encodeCast(&castMsg{Op: opAbortTransfer, Major: major}))
 }
 
 func (sg *segment) groupHandle() (grp groupCaster) {
@@ -372,16 +390,14 @@ func (s *Server) pullReplicaFrom(ctx context.Context, sg *segment, major uint64,
 	if pair != ms.pair {
 		return false
 	}
-	rep := sg.local[major]
-	if rep == nil {
-		// First copy on this server (e.g. pulled as fork seed data).
-		rep = &localReplica{}
-		sg.local[major] = rep
-	}
-	rep.data = buf
-	rep.pair = pair
-	rep.stable = stable
+	// The fetched copy replaces the local one (or is the first copy on this
+	// server, e.g. pulled as fork seed data) once it is durable.
+	rep := &localReplica{data: buf, pair: pair, stable: stable}
 	s.persistReplica(sg, major, rep)
+	if sg.commitLocked() != nil {
+		return false
+	}
+	sg.local[major] = rep
 	return true
 }
 

@@ -67,3 +67,52 @@ func TestRPCBoundarySpeaksTypedErrors(t *testing.T) {
 		t.Errorf("%s (use derr.New/derr.Wrap so the code survives the RPC boundary)", v)
 	}
 }
+
+// TestCoreChecksCommitErrors fails on any PutBatch call in the non-test core
+// sources whose error is thrown away, by `_ =` or as a bare statement: a
+// store commit that failed must fail the reply it was going to back.
+func TestCoreChecksCommitErrors(t *testing.T) {
+	dir := filepath.Join("..", "core")
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatalf("parse %s: %v", dir, err)
+	}
+	isPutBatch := func(e ast.Expr) bool {
+		call, ok := e.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "PutBatch"
+	}
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var call ast.Expr
+				switch st := n.(type) {
+				case *ast.ExprStmt:
+					call = st.X
+				case *ast.AssignStmt:
+					for _, lhs := range st.Lhs {
+						if id, ok := lhs.(*ast.Ident); !ok || id.Name != "_" {
+							return true
+						}
+					}
+					if len(st.Rhs) == 1 {
+						call = st.Rhs[0]
+					}
+				default:
+					return true
+				}
+				if isPutBatch(call) {
+					t.Errorf("%s: PutBatch error discarded; return it to the caller",
+						fset.Position(call.Pos()))
+				}
+				return true
+			})
+		}
+	}
+}
