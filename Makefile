@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench-smoke benchmark-module rejoin-bench load load-smoke load-diff fuzz-smoke
+.PHONY: check fmt vet build test race stress bench-smoke benchmark-module rejoin-bench load load-smoke load-diff fuzz-smoke
 
 check: fmt vet build test bench-smoke benchmark-module fuzz-smoke
 
@@ -19,6 +19,11 @@ test:
 
 race:
 	$(GO) test -race ./internal/core ./internal/isis ./internal/server ./internal/agent ./internal/derr
+
+# Repeated runs of the tests that catch a transfer installing a stale copy
+# or an update relabelling one (a lost acked write shows up as zeros).
+stress:
+	$(GO) test -count=10 -run 'TestConcurrentMultiWriter$$|TestTransferInstallsOnlyFrozenPair|TestUpdateDropsStaleReplica' ./internal/core
 
 bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkT1|BenchmarkAblation|BenchmarkContention|BenchmarkHotReadLocal' -benchtime=1x .

@@ -23,9 +23,10 @@ type ReadStats struct {
 // rejoin benchmark reads them to separate state-transfer volume from group
 // metadata reconcile traffic. All counters are cumulative since server start.
 type TransferStats struct {
-	BytesOut  uint64 // replica data bytes served to fetchers
-	BytesIn   uint64 // replica data bytes pulled from peers
-	Unchanged uint64 // fetches answered/received as Unchanged (no data shipped)
+	BytesOut     uint64 // replica data bytes served to fetchers
+	BytesIn      uint64 // replica data bytes pulled from peers
+	Unchanged    uint64 // fetches answered/received as Unchanged (no data shipped)
+	StaleDropped uint64 // local replicas an update found behind the group's pair, dropped
 }
 
 // readPlan is an immutable snapshot of everything the read path needs to
@@ -579,11 +580,7 @@ func (s *Server) ensureDataForFork(ctx context.Context, sg *segment, major uint6
 	var peers []simnet.NodeID
 	if ms != nil {
 		holderIn = ms.holder != "" && sg.view.Contains(ms.holder)
-		for r := range ms.replicas {
-			if r != s.id && sg.view.Contains(r) {
-				peers = append(peers, r)
-			}
-		}
+		peers = sg.peerReplicasLocked(ms)
 	}
 	sg.mu.Unlock()
 	if have {
@@ -594,13 +591,8 @@ func (s *Server) ensureDataForFork(ctx context.Context, sg *segment, major uint6
 		return false
 	}
 	for _, p := range peers {
-		if s.pullReplicaFrom(ctx, sg, major, p) {
-			sg.mu.Lock()
-			_, have = sg.local[major]
-			sg.mu.Unlock()
-			if have {
-				return true
-			}
+		if _, err := s.pull(ctx, sg, major, p); err == nil {
+			return true
 		}
 	}
 	return false
@@ -775,21 +767,11 @@ func (s *Server) maybeMarkStable(sg *segment, major uint64) {
 // is retried until the replica lands or the attempts run out; concurrent
 // calls for the same major coalesce.
 func (s *Server) requestMigration(sg *segment, major uint64) {
-	sg.mu.Lock()
-	if sg.migrating == nil {
-		sg.migrating = make(map[uint64]bool)
-	}
-	if sg.migrating[major] {
-		sg.mu.Unlock()
+	release, ok := sg.claim(&sg.migrating, major)
+	if !ok {
 		return
 	}
-	sg.migrating[major] = true
-	sg.mu.Unlock()
-	defer func() {
-		sg.mu.Lock()
-		delete(sg.migrating, major)
-		sg.mu.Unlock()
-	}()
+	defer release()
 
 	for attempt := 0; attempt < 20; attempt++ {
 		sg.mu.Lock()
@@ -805,10 +787,8 @@ func (s *Server) requestMigration(sg *segment, major uint64) {
 			_, _ = s.castOne(ctx, sg, &castMsg{Op: opRequestReplica, Major: major, Target: s.id})
 			cancel()
 		}
-		select {
-		case <-s.done:
+		if !s.sleep(context.Background(), 4*s.opts.RetryDelay) {
 			return
-		case <-time.After(4 * s.opts.RetryDelay):
 		}
 	}
 }

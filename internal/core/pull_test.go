@@ -1,0 +1,192 @@
+package core
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"repro/internal/simnet"
+	"repro/internal/version"
+	"repro/internal/wire"
+)
+
+// TestTransferInstallsOnlyFrozenPair covers a transfer source that lags in
+// delivery: when the target's fetch arrives, the source still holds the copy
+// from before the last update sequenced ahead of opBeginTransfer. The target
+// must never install that copy; it waits for the source to catch up and then
+// installs the frozen pair's bytes and is listed as a replica.
+func TestTransferInstallsOnlyFrozenPair(t *testing.T) {
+	c := newTestCluster(t, 3)
+	ctx := ctxT(t, 20*time.Second)
+	srv0, srv2 := c.nodes[0].srv, c.nodes[2].srv
+	id, err := srv0.Create(ctx, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv0.Write(ctx, id, WriteReq{Data: []byte("old bytes")}); err != nil {
+		t.Fatal(err)
+	}
+	waitStable(t, srv0, id)
+	major := uint64(version.InitialMajor)
+	sg0 := srv0.tab.get(id)
+	sg0.mu.Lock()
+	prev := *sg0.local[major]
+	prev.data = append([]byte(nil), prev.data...)
+	sg0.mu.Unlock()
+	if _, err := srv0.Write(ctx, id, WriteReq{Data: []byte("new bytes")}); err != nil {
+		t.Fatal(err)
+	}
+	waitStable(t, srv0, id)
+	if _, err := srv2.Stat(ctx, id); err != nil { // srv2 joins the group
+		t.Fatal(err)
+	}
+	sg2 := srv2.tab.get(id)
+
+	// The source has not yet delivered the last update.
+	sg0.mu.Lock()
+	cur := sg0.local[major]
+	sg0.local[major] = &prev
+	sg0.mu.Unlock()
+	if _, err := srv0.castOne(ctx, sg0, &castMsg{
+		Op: opBeginTransfer, Major: major, Source: srv0.ID(), Target: srv2.ID(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// checkTarget fails if the target holds anything but the group's bytes.
+	checkTarget := func() {
+		t.Helper()
+		sg2.mu.Lock()
+		defer sg2.mu.Unlock()
+		rep, ms := sg2.local[major], sg2.majors[major]
+		if rep != nil && (rep.pair != ms.pair || !bytes.Equal(rep.data, []byte("new bytes"))) {
+			t.Fatalf("target installed %q at %v; group pair %v", rep.data, rep.pair, ms.pair)
+		}
+	}
+	for end := time.Now().Add(50 * time.Millisecond); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+		checkTarget()
+	}
+
+	// The delivery arrives.
+	sg0.mu.Lock()
+	sg0.local[major] = cur
+	sg0.mu.Unlock()
+	waitUntil(t, 5*time.Second, "srv2 listed as a replica", func() bool {
+		checkTarget()
+		sg0.mu.Lock()
+		defer sg0.mu.Unlock()
+		ms := sg0.majors[major]
+		return !ms.transferring && ms.replicas[srv2.ID()]
+	})
+	checkTarget()
+	sg2.mu.Lock()
+	defer sg2.mu.Unlock()
+	if sg2.local[major] == nil {
+		t.Fatal("target listed as a replica without data")
+	}
+}
+
+// TestUpdateDropsStaleReplica drives the state machine directly: an update
+// delivered to a member whose local replica lags the group's pre-update pair
+// must drop that replica and its data record in the same commit, not apply
+// the delta to the stale base and relabel it current.
+func TestUpdateDropsStaleReplica(t *testing.T) {
+	c := newTestCluster(t, 1)
+	ctx := ctxT(t, 10*time.Second)
+	srv := c.nodes[0].srv
+	id, err := srv.Create(ctx, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []string{"first", "second"} {
+		if _, err := srv.Write(ctx, id, WriteReq{Data: []byte(d)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitStable(t, srv, id)
+	major := uint64(version.InitialMajor)
+	sg := srv.tab.get(id)
+	sg.mu.Lock()
+	ms := sg.majors[major]
+	stale := ms.pair
+	stale.Sub--
+	sg.local[major].pair = stale // as if the replica missed the last update
+	sg.mu.Unlock()
+
+	before := srv.TransferStats().StaleDropped
+	reply := (&segApp{sg: sg}).Deliver(srv.ID(), encodeCast(&castMsg{
+		Op: opUpdate, Major: major, Off: 0, Data: []byte("third"),
+	}))
+	var r castReply
+	if err := wire.Unmarshal(reply, &r); err != nil {
+		t.Fatal(err)
+	}
+	if !r.OK || r.IsReplica {
+		t.Fatalf("update reply OK=%v IsReplica=%v (%s), want an accepted update from a non-replica", r.OK, r.IsReplica, r.Err)
+	}
+	sg.mu.Lock()
+	rep := sg.local[major]
+	sg.mu.Unlock()
+	if rep != nil {
+		t.Fatalf("stale replica relabelled: %q at %v", rep.data, rep.pair)
+	}
+	if _, ok, err := c.nodes[0].st.Get(bucketData, dataKey(id, major)); err != nil || ok {
+		t.Fatalf("stale replica's data record still stored (ok=%v, err=%v)", ok, err)
+	}
+	if got := srv.TransferStats().StaleDropped - before; got != 1 {
+		t.Fatalf("StaleDropped rose by %d, want 1", got)
+	}
+}
+
+// TestRunTransferStopsOnClose: a transfer whose target accepts the open
+// request but never joins the file group must not keep its goroutine alive
+// past Close for the rest of the join budget.
+func TestRunTransferStopsOnClose(t *testing.T) {
+	c := newTestClusterCore(t, 1, func(o *Options) { o.RetryDelay = 20 * time.Millisecond })
+	ctx := ctxT(t, 10*time.Second)
+	srv := c.nodes[0].srv
+	id, err := srv.Create(ctx, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A bare endpoint that answers dmOpenReq but never joins.
+	bare := simnet.NewDemux(c.net.Attach("bare")).Channel(1)
+	t.Cleanup(func() { _ = bare.Close() })
+	opened := make(chan struct{}, 1)
+	go func() {
+		for m := range bare.Recv() {
+			var dm directMsg
+			if wire.Unmarshal(m.Data, &dm) != nil || dm.Kind != dmOpenReq {
+				continue
+			}
+			_ = bare.Send(m.From, wire.MarshalSized(&directMsg{Kind: dmOpenResp, ReqID: dm.ReqID, Seg: dm.Seg}))
+			select {
+			case opened <- struct{}{}:
+			default:
+			}
+		}
+	}()
+
+	returned := make(chan struct{})
+	go func() {
+		srv.runTransfer(srv.tab.get(id), version.InitialMajor, "bare")
+		close(returned)
+	}()
+	select {
+	case <-opened:
+	case <-time.After(5 * time.Second):
+		t.Fatal("runTransfer never sent its open request")
+	}
+	time.Sleep(3 * c.copts.RetryDelay) // now in the join wait
+	srv.Close()
+	closed := time.Now()
+	select {
+	case <-returned:
+	case <-time.After(c.copts.OpTimeout):
+		t.Fatal("runTransfer still running a whole OpTimeout after Close")
+	}
+	if d := time.Since(closed); d > 5*c.copts.RetryDelay {
+		t.Fatalf("runTransfer returned %v after Close, want within a few RetryDelay (%v)", d, c.copts.RetryDelay)
+	}
+}

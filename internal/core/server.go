@@ -98,6 +98,7 @@ type Server struct {
 		xferBytesOut   atomic.Uint64
 		xferBytesIn    atomic.Uint64
 		xferUnchanged  atomic.Uint64
+		staleDropped   atomic.Uint64
 	}
 
 	reqID   atomic.Uint64
@@ -439,9 +440,10 @@ func (s *Server) ReadStats() ReadStats {
 // direct channel by blast transfers and stale-replica refreshes.
 func (s *Server) TransferStats() TransferStats {
 	return TransferStats{
-		BytesOut:  s.stats.xferBytesOut.Load(),
-		BytesIn:   s.stats.xferBytesIn.Load(),
-		Unchanged: s.stats.xferUnchanged.Load(),
+		BytesOut:     s.stats.xferBytesOut.Load(),
+		BytesIn:      s.stats.xferBytesIn.Load(),
+		Unchanged:    s.stats.xferUnchanged.Load(),
+		StaleDropped: s.stats.staleDropped.Load(),
 	}
 }
 

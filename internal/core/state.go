@@ -338,6 +338,16 @@ func (sg *segment) applyUpdate(from simnet.NodeID, m *castMsg) *castReply {
 	if !m.Expect.IsZero() && ms.pair != m.Expect {
 		return &castReply{Code: uint16(derr.CodeVersionConflict), Err: "conflict", Pair: ms.pair}
 	}
+	// A delta applies only to the base it was computed against: a local
+	// replica not at the pre-update pair (it missed an update) is dropped,
+	// never relabelled as current.
+	rep := sg.local[major]
+	if rep != nil && rep.pair != ms.pair {
+		delete(sg.local, major)
+		sg.srv.deleteReplicaData(sg, major)
+		sg.srv.stats.staleDropped.Add(1)
+		rep = nil
+	}
 	hadReaders := ms.revokeReadersLocked()
 	sg.epoch++
 	sg.readDenied = false
@@ -349,7 +359,6 @@ func (sg *segment) applyUpdate(from simnet.NodeID, m *castMsg) *castReply {
 	} else if end > ms.size {
 		ms.size = end
 	}
-	rep := sg.local[major]
 	if rep != nil {
 		rep.data = applyData(rep.data, m.Off, m.Data, m.Truncate)
 		rep.pair = ms.pair

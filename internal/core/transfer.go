@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"time"
 
 	"repro/internal/derr"
@@ -72,19 +73,17 @@ func (s *Server) runTransfer(sg *segment, major uint64, target simnet.NodeID) bo
 		if _, err := s.directCall(ctx, target, &directMsg{Kind: dmOpenReq, Seg: sg.id}); err != nil {
 			return false
 		}
-		joined := false
-		deadline := time.Now().Add(s.opts.OpTimeout)
-		for time.Now().Before(deadline) {
+		// Wait for the join within ctx's budget; a closing server stops.
+		for {
 			sg.mu.Lock()
-			joined = sg.view.Contains(target)
+			joined := sg.view.Contains(target)
 			sg.mu.Unlock()
 			if joined {
 				break
 			}
-			time.Sleep(s.opts.RetryDelay)
-		}
-		if !joined {
-			return false
+			if !s.sleep(ctx, s.opts.RetryDelay) {
+				return false
+			}
 		}
 	}
 
@@ -106,10 +105,8 @@ func (s *Server) runTransfer(sg *segment, major uint64, target simnet.NodeID) bo
 		if done {
 			return landed
 		}
-		select {
-		case <-s.done:
+		if !s.sleep(context.Background(), s.opts.RetryDelay) {
 			return false
-		case <-time.After(s.opts.RetryDelay):
 		}
 	}
 	abortCtx, cancel2 := context.WithTimeout(context.Background(), s.opts.OpTimeout)
@@ -118,91 +115,39 @@ func (s *Server) runTransfer(sg *segment, major uint64, target simnet.NodeID) bo
 	return false
 }
 
-// fetchReplica runs on the transfer target: it pulls the replica data from
-// source chunk by chunk, installs it, and announces readiness to the group.
-// A target that still holds pre-crash bytes for the same major offers their
-// pair with the first chunk request; an Unchanged answer revalidates the
-// local copy in place, so a rejoin after a crash ships data only for the
-// replicas that actually moved while the server was down.
+// fetchReplica runs on the transfer target: it pulls the replica frozen by
+// opBeginTransfer from source and announces the outcome to the group. A
+// source that has not yet delivered every update sequenced before the
+// transfer still holds an older pair; the pull is retried until the source
+// catches up, and the transfer is aborted on any other failure or when the
+// budget runs out.
 func (s *Server) fetchReplica(sg *segment, major uint64, source simnet.NodeID) {
 	ctx, cancel := context.WithTimeout(context.Background(), 4*s.opts.OpTimeout)
 	defer cancel()
-
-	sg.mu.Lock()
-	prior := sg.local[major]
-	var have version.Pair
-	haveSet := false
-	if prior != nil {
-		have, haveSet = prior.pair, true
-	}
-	sg.mu.Unlock()
-
-	var buf []byte
-	var pair version.Pair
-	var stable bool
-	off := int64(0)
-	for attempt := 0; attempt < 3; attempt++ {
-		buf = buf[:0]
-		off = 0
-		torn := false
-		for {
-			req := &directMsg{
-				Kind: dmFetchReq, Seg: sg.id, Major: major,
-				Off: off, N: int64(s.opts.TransferChunk),
-			}
-			if off == 0 && haveSet {
-				req.Have, req.HaveSet = have, true
-			}
-			resp, err := s.directCall(ctx, source, req)
-			if err != nil || resp.failed() {
-				s.castTransferOutcome(ctx, sg, &castMsg{Op: opAbortTransfer, Major: major})
-				return
-			}
-			if off == 0 && resp.Unchanged {
-				// Our recovered bytes are already current: revalidate them
-				// instead of re-pulling (nothing was shipped).
-				s.stats.xferUnchanged.Add(1)
-				sg.mu.Lock()
-				buf = append(buf[:0], prior.data...)
-				sg.mu.Unlock()
-				pair, stable = resp.Pair, resp.Stable
-				break
-			}
-			if off == 0 {
-				pair, stable = resp.Pair, resp.Stable
-			} else if resp.Pair != pair {
-				// An update slipped in under the first chunks (sequenced
-				// before opBeginTransfer froze the file): restart the pull.
-				torn = true
-				break
-			}
-			buf = append(buf, resp.Data...)
-			s.stats.xferBytesIn.Add(uint64(len(resp.Data)))
-			off += int64(len(resp.Data))
-			if off >= resp.Size || len(resp.Data) == 0 {
-				break
-			}
+	for {
+		pair, err := s.pull(ctx, sg, major, source)
+		if err == nil {
+			s.castTransferOutcome(ctx, sg, &castMsg{Op: opReplicaReady, Major: major, Pair: pair})
+			return
 		}
-		if !torn {
-			break
+		if !errors.Is(err, ErrBusy) || !s.sleep(ctx, s.opts.RetryDelay) {
+			s.castTransferOutcome(ctx, sg, &castMsg{Op: opAbortTransfer, Major: major})
+			return
 		}
 	}
+}
 
-	// Install only what is durable: a replica whose commit failed is neither
-	// kept nor announced, and the abort lets the holder resume updates.
-	sg.mu.Lock()
-	rep := &localReplica{data: buf, pair: pair, stable: stable}
-	s.persistReplica(sg, major, rep)
-	err := sg.commitLocked()
-	if err == nil {
-		sg.local[major] = rep
+// sleep waits for d, reporting false instead if ctx expires or the server
+// closes first.
+func (s *Server) sleep(ctx context.Context, d time.Duration) bool {
+	select {
+	case <-ctx.Done():
+		return false
+	case <-s.done:
+		return false
+	case <-time.After(d):
+		return true
 	}
-	sg.mu.Unlock()
-	if err != nil {
-		s.castTransferOutcome(ctx, sg, &castMsg{Op: opAbortTransfer, Major: major})
-		return
-	}
-	s.castTransferOutcome(ctx, sg, &castMsg{Op: opReplicaReady, Major: major, Pair: pair})
 }
 
 // castTransferOutcome casts a transfer target's opReplicaReady or
@@ -217,12 +162,8 @@ func (s *Server) castTransferOutcome(ctx context.Context, sg *segment, m *castMs
 			_ = grp.CastAsync(encodeCast(m))
 			return
 		}
-		select {
-		case <-ctx.Done():
+		if !s.sleep(ctx, s.opts.RetryDelay) {
 			return
-		case <-s.done:
-			return
-		case <-time.After(s.opts.RetryDelay):
 		}
 	}
 }
@@ -245,21 +186,11 @@ type groupCaster interface {
 // as a replica holder of major but has no local data (a partial recovery or
 // lost store). Coalesces with in-flight refreshes for the same major.
 func (s *Server) dropPhantomReplica(sg *segment, major uint64) {
-	sg.mu.Lock()
-	if sg.refreshing == nil {
-		sg.refreshing = make(map[uint64]bool)
-	}
-	if sg.refreshing[major] {
-		sg.mu.Unlock()
+	release, ok := sg.claim(&sg.refreshing, major)
+	if !ok {
 		return
 	}
-	sg.refreshing[major] = true
-	sg.mu.Unlock()
-	defer func() {
-		sg.mu.Lock()
-		delete(sg.refreshing, major)
-		sg.mu.Unlock()
-	}()
+	defer release()
 
 	sg.mu.Lock()
 	ms := sg.majors[major]
@@ -274,29 +205,40 @@ func (s *Server) dropPhantomReplica(sg *segment, major uint64) {
 	_, _ = s.castOne(ctx, sg, &castMsg{Op: opDeleteReplica, Major: major, Target: s.id})
 }
 
+// claim marks major as having an in-flight background loop in set (one of
+// sg.refreshing, sg.migrating), reporting false if one is already running;
+// release ends the claim. Concurrent triggers for the same major coalesce.
+func (sg *segment) claim(set *map[uint64]bool, major uint64) (release func(), ok bool) {
+	sg.mu.Lock()
+	defer sg.mu.Unlock()
+	if (*set)[major] {
+		return nil, false
+	}
+	if *set == nil {
+		*set = make(map[uint64]bool)
+	}
+	(*set)[major] = true
+	return func() {
+		sg.mu.Lock()
+		delete(*set, major)
+		sg.mu.Unlock()
+	}, true
+}
+
 // refreshReplica re-pulls the data of a replica whose pair fell behind the
 // group's agreed pair during a partition or crash (§3.6 "Non-token Replica
-// Crash"). The stale bytes are replaced in place by a fetch from a member
-// whose replica is current; nothing is ever deleted, so even if every
-// replica went stale simultaneously the most up-to-date one survives for
-// the §3.6 forced-stability path to promote. Concurrent calls for the same
+// Crash"). The stale bytes are replaced in place by a pull from a member
+// whose replica is current; the refresh itself deletes nothing, so if every
+// replica went stale simultaneously the most up-to-date one survives for the
+// §3.6 forced-stability path to promote. (An update that reaches a stale
+// replica first drops it: see applyUpdate.) Concurrent calls for the same
 // major coalesce.
 func (s *Server) refreshReplica(sg *segment, major uint64) {
-	sg.mu.Lock()
-	if sg.refreshing == nil {
-		sg.refreshing = make(map[uint64]bool)
-	}
-	if sg.refreshing[major] {
-		sg.mu.Unlock()
+	release, ok := sg.claim(&sg.refreshing, major)
+	if !ok {
 		return
 	}
-	sg.refreshing[major] = true
-	sg.mu.Unlock()
-	defer func() {
-		sg.mu.Lock()
-		delete(sg.refreshing, major)
-		sg.mu.Unlock()
-	}()
+	defer release()
 
 	for attempt := 0; attempt < 10; attempt++ {
 		sg.mu.Lock()
@@ -305,71 +247,93 @@ func (s *Server) refreshReplica(sg *segment, major uint64) {
 		done := sg.deleted || ms == nil || rep == nil || rep.pair == ms.pair
 		var peers []simnet.NodeID
 		if !done {
-			for r := range ms.replicas {
-				if r != s.id && sg.view.Contains(r) {
-					peers = append(peers, r)
-				}
-			}
+			peers = sg.peerReplicasLocked(ms)
 		}
 		sg.mu.Unlock()
 		if done {
 			return
 		}
 		for _, peer := range peers {
-			if s.pullReplicaFrom(context.Background(), sg, major, peer) {
+			if _, err := s.pull(context.Background(), sg, major, peer); err == nil {
 				return
 			}
 		}
-		select {
-		case <-s.done:
+		if !s.sleep(context.Background(), 8*s.opts.RetryDelay) {
 			return
-		case <-time.After(8 * s.opts.RetryDelay):
 		}
 	}
 }
 
-// pullReplicaFrom fetches major's full data from peer and installs it if it
-// is newer than the local copy and still matches the group-agreed pair.
+// peerReplicasLocked lists the other replica holders of ms reachable in the
+// current view: the members a pull can fetch from.
+func (sg *segment) peerReplicasLocked(ms *majorState) []simnet.NodeID {
+	var peers []simnet.NodeID
+	for r := range ms.replicas {
+		if r != sg.srv.id && sg.view.Contains(r) {
+			peers = append(peers, r)
+		}
+	}
+	return peers
+}
+
+// pull fetches major's data from peer chunk by chunk and installs it as the
+// local replica, returning the installed pair. It has one install rule: the
+// copy installed is the one at want, the pair the group agreed on when the
+// pull started (for a transfer target, the pair frozen by opBeginTransfer's
+// slot, since updates are refused while the transfer runs), and only while
+// want is still the group's pair. A peer that answers with any other pair —
+// it has not yet delivered the updates sequenced before the pull, or it is
+// as stale as we are, or an update landed mid-pull — stops the pull with
+// ErrBusy; nothing partial or torn is ever installed. A local copy is
+// offered with the first chunk request, and an Unchanged answer at want
+// revalidates it in place, so a rejoin after a crash ships data only for
+// replicas that moved while the server was down.
+//
 // The pull is bounded by both the transfer budget and the caller's ctx, so
-// an op-scoped deadline propagates into state transfer instead of the pull
-// outliving the operation that needed it.
-func (s *Server) pullReplicaFrom(ctx context.Context, sg *segment, major uint64, peer simnet.NodeID) bool {
+// an op-scoped deadline propagates into state transfer.
+func (s *Server) pull(ctx context.Context, sg *segment, major uint64, peer simnet.NodeID) (version.Pair, error) {
 	ctx, cancel := context.WithTimeout(ctx, 2*s.opts.OpTimeout)
 	defer cancel()
-	var buf []byte
-	var pair version.Pair
-	var stable bool
+
 	sg.mu.Lock()
+	ms := sg.majors[major]
+	if ms == nil || sg.deleted {
+		sg.mu.Unlock()
+		return version.Pair{}, ErrNotFound
+	}
+	want := ms.pair
 	var have version.Pair
-	haveSet := false
-	if rep := sg.local[major]; rep != nil {
-		have, haveSet = rep.pair, true
+	prior := sg.local[major]
+	if prior != nil {
+		have = prior.pair
 	}
 	sg.mu.Unlock()
 
-	off := int64(0)
-	for {
+	var buf []byte
+	var stable, unchanged bool
+	for off := int64(0); ; {
 		req := &directMsg{
 			Kind: dmFetchReq, Seg: sg.id, Major: major,
 			Off: off, N: int64(s.opts.TransferChunk),
 		}
-		if off == 0 && haveSet {
+		if off == 0 && prior != nil {
 			req.Have, req.HaveSet = have, true
 		}
 		resp, err := s.directCall(ctx, peer, req)
-		if err != nil || resp.failed() {
-			return false
+		if err != nil {
+			return version.Pair{}, err
 		}
-		if off == 0 && resp.Unchanged {
-			// The peer is exactly as stale as we are: it cannot advance us,
-			// and it told us so without shipping its copy.
+		if resp.failed() {
+			return version.Pair{}, derr.New(derr.Code(resp.Code), "core: fetch: "+resp.Err)
+		}
+		if resp.Unchanged {
 			s.stats.xferUnchanged.Add(1)
-			return false
 		}
-		if off == 0 {
-			pair, stable = resp.Pair, resp.Stable
-		} else if resp.Pair != pair {
-			return false // torn read: an update landed mid-pull; retry later
+		if resp.Pair != want {
+			return version.Pair{}, ErrBusy
+		}
+		if stable, unchanged = resp.Stable, resp.Unchanged; unchanged {
+			break
 		}
 		buf = append(buf, resp.Data...)
 		s.stats.xferBytesIn.Add(uint64(len(resp.Data)))
@@ -381,24 +345,27 @@ func (s *Server) pullReplicaFrom(ctx context.Context, sg *segment, major uint64,
 
 	sg.mu.Lock()
 	defer sg.mu.Unlock()
-	ms := sg.majors[major]
-	if ms == nil || sg.deleted {
-		return true // nothing left to refresh
+	if ms := sg.majors[major]; ms == nil || sg.deleted || ms.pair != want {
+		// The group moved on (or the version went away) during the pull.
+		return version.Pair{}, ErrVersionConflict
 	}
-	// Install only if the fetched state is the agreed current one; if the
-	// group advanced mid-pull we are still stale and the loop retries.
-	if pair != ms.pair {
-		return false
+	if unchanged {
+		// Our own copy is at want: revalidate it instead of re-pulling.
+		cur := sg.local[major]
+		if cur == nil || cur.pair != want {
+			return version.Pair{}, ErrVersionConflict
+		}
+		buf = cur.data
 	}
-	// The fetched copy replaces the local one (or is the first copy on this
-	// server, e.g. pulled as fork seed data) once it is durable.
-	rep := &localReplica{data: buf, pair: pair, stable: stable}
+	// Install only what is durable: a replica whose commit failed is neither
+	// kept nor announced.
+	rep := &localReplica{data: buf, pair: want, stable: stable}
 	s.persistReplica(sg, major, rep)
-	if sg.commitLocked() != nil {
-		return false
+	if err := sg.commitLocked(); err != nil {
+		return version.Pair{}, err
 	}
 	sg.local[major] = rep
-	return true
+	return want, nil
 }
 
 // ------------------------------------------------------- direct channel --
