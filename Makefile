@@ -23,7 +23,7 @@ race:
 # Repeated runs of the tests that catch a transfer installing a stale copy
 # or an update relabelling one (a lost acked write shows up as zeros).
 stress:
-	$(GO) test -count=10 -run 'TestConcurrentMultiWriter$$|TestTransferInstallsOnlyFrozenPair|TestUpdateDropsStaleReplica' ./internal/core
+	$(GO) test -count=100 -run 'TestConcurrentMultiWriter$$|TestTransferInstallsOnlyFrozenPair|TestUpdateDropsStaleReplica' ./internal/core
 
 bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkT1|BenchmarkAblation|BenchmarkContention|BenchmarkHotReadLocal' -benchtime=1x .

@@ -32,6 +32,24 @@ func TestWriteBatchSingleCast(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// AddReplica returns when the holder delivers the replica's arrival;
+	// count messages only once every member has delivered the transfers.
+	waitUntil(t, 5*time.Second, "three replicas at every member", func() bool {
+		for _, nd := range c.nodes {
+			sg := nd.srv.tab.get(id)
+			if sg == nil {
+				return false
+			}
+			sg.mu.Lock()
+			ms := sg.majors[sg.currentMajorLocked()]
+			settled := ms != nil && len(ms.replicas) == 3 && !ms.transferring
+			sg.mu.Unlock()
+			if !settled {
+				return false
+			}
+		}
+		return true
+	})
 	reqs := []WriteReq{
 		{Off: 0, Data: []byte("aaaa")},
 		{Off: 4, Data: []byte("bbbb")},

@@ -182,9 +182,7 @@ func TestTransferOutcomeWaitsForGroupHandle(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(100 * time.Millisecond) // the pull and install finish meanwhile
-	sg1.mu.Lock()
-	sg1.group = grp
-	sg1.mu.Unlock()
+	sg1.setGroup(grp)                  // the join returns and stores its handle
 	waitUntil(t, 2*time.Second, "srv1 announced as a replica", func() bool {
 		sg0.mu.Lock()
 		defer sg0.mu.Unlock()

@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/simnet"
 	"repro/internal/store"
+	"repro/internal/version"
+	"repro/internal/wire"
 )
 
 func newEmptyStore() *store.MemStore { return store.NewMemStore() }
@@ -185,4 +187,56 @@ func TestPhantomReplicaRecordSelfHeals(t *testing.T) {
 		rep := sg.local[info.Versions[0].Major]
 		return rep != nil && string(rep.data) == "real data"
 	})
+}
+
+// TestForkClonesOnlyCurrentReplica drives the state machine directly: a
+// token regeneration delivered to a member whose local replica lags the
+// branch pair must not clone that copy under the fork's pair, which would
+// claim updates the bytes never saw.
+func TestForkClonesOnlyCurrentReplica(t *testing.T) {
+	c := newTestCluster(t, 1)
+	ctx := ctxT(t, 10*time.Second)
+	srv := c.nodes[0].srv
+	params := DefaultParams()
+	params.Avail = AvailHigh // regeneration allowed whenever the holder is gone
+	id, err := srv.Create(ctx, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []string{"first", "second"} {
+		if _, err := srv.Write(ctx, id, WriteReq{Data: []byte(d)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitStable(t, srv, id)
+	major := uint64(version.InitialMajor)
+	sg := srv.tab.get(id)
+	sg.mu.Lock()
+	ms := sg.majors[major]
+	ms.holder = "gone" // the holder is unreachable
+	stale := ms.pair
+	stale.Sub--
+	sg.local[major].pair = stale // as if the replica missed the last update
+	sg.mu.Unlock()
+
+	const newMajor = 1 << 40
+	reply := (&segApp{sg: sg}).Deliver(srv.ID(), encodeCast(&castMsg{
+		Op: opTokenRequest, Major: major, NewMajor: newMajor, HasData: true,
+	}))
+	var r castReply
+	if err := wire.Unmarshal(reply, &r); err != nil {
+		t.Fatal(err)
+	}
+	if r.Outcome != tokGrantedNew || r.Major != newMajor {
+		t.Fatalf("token reply outcome=%d major=%d (%s), want a new major %d", r.Outcome, r.Major, r.Err, uint64(newMajor))
+	}
+	sg.mu.Lock()
+	rep := sg.local[newMajor]
+	sg.mu.Unlock()
+	if rep != nil {
+		t.Fatalf("stale replica cloned into the fork: %q at %v", rep.data, rep.pair)
+	}
+	if _, ok, err := c.nodes[0].st.Get(bucketData, dataKey(id, newMajor)); err != nil || ok {
+		t.Fatalf("fork has a stored data record (ok=%v, err=%v)", ok, err)
+	}
 }

@@ -354,9 +354,11 @@ func (s *Server) writeOnce(ctx context.Context, id SegID, req WriteReq) (version
 		}
 		major = granted
 		// The holder's replica is the primary during instability; make sure
-		// we actually have one before updating (§3.4).
-		if err := s.ensureLocalReplica(ctx, sg, major); err != nil {
-			return version.Pair{}, err
+		// we actually have one before updating (§3.4). The holder runs every
+		// transfer (§3.1), so it runs this one itself, and a refusal reaches
+		// this write at once.
+		if !s.runTransfer(ctx, sg, major, s.id) {
+			return version.Pair{}, ErrBusy
 		}
 	}
 
@@ -567,15 +569,16 @@ func (s *Server) acquireToken(ctx context.Context, sg *segment, major uint64) (u
 	}
 }
 
-// ensureDataForFork reports whether this server holds major's data, first
-// trying to pull it directly from a reachable replica when the token holder
-// is unreachable (the token-regeneration case: "replicas corresponding to
-// the new token are generated by copying the original replica", §3.5 — so
-// the regenerating server must have a copy to fork from).
+// ensureDataForFork reports whether this server holds a current copy of
+// major's data, first trying to pull it directly from a reachable replica
+// when the token holder is unreachable (the token-regeneration case:
+// "replicas corresponding to the new token are generated by copying the
+// original replica", §3.5 — so the regenerating server must have one).
 func (s *Server) ensureDataForFork(ctx context.Context, sg *segment, major uint64) bool {
 	sg.mu.Lock()
-	_, have := sg.local[major]
+	rep := sg.local[major]
 	ms := sg.majors[major]
+	have := rep != nil && ms != nil && rep.pair == ms.pair
 	var holderIn bool
 	var peers []simnet.NodeID
 	if ms != nil {
@@ -596,36 +599,6 @@ func (s *Server) ensureDataForFork(ctx context.Context, sg *segment, major uint6
 		}
 	}
 	return false
-}
-
-// ensureLocalReplica makes this server a replica holder of major, pulling
-// data through the regular transfer flow if necessary.
-func (s *Server) ensureLocalReplica(ctx context.Context, sg *segment, major uint64) error {
-	sg.mu.Lock()
-	_, have := sg.local[major]
-	ms := sg.majors[major]
-	sg.mu.Unlock()
-	if have || ms == nil {
-		return nil
-	}
-	if _, err := s.castOne(ctx, sg, &castMsg{Op: opRequestReplica, Major: major, Target: s.id}); err != nil {
-		return err
-	}
-	deadline := time.Now().Add(2 * s.opts.OpTimeout)
-	for time.Now().Before(deadline) {
-		sg.mu.Lock()
-		_, have = sg.local[major]
-		sg.mu.Unlock()
-		if have {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return derr.FromContext(ctx, "core.replica")
-		case <-time.After(s.opts.RetryDelay):
-		}
-	}
-	return ErrBusy
 }
 
 // finishWrite performs the holder's post-update maintenance (Table 1): count
@@ -695,7 +668,7 @@ func (s *Server) finishWrite(sg *segment, major uint64, call *isis.Call) {
 			if needed <= 0 {
 				break
 			}
-			if !have[m] && s.runTransfer(sg, major, m) {
+			if !have[m] && s.runTransfer(context.Background(), sg, major, m) {
 				needed--
 			}
 		}
@@ -763,9 +736,10 @@ func (s *Server) maybeMarkStable(sg *segment, major uint64) {
 // forwarded access (§3.1 method 4: "as a background activity, a local
 // non-volatile replica is generated ... to speed future reads"; "each client
 // slowly gathers its working set of files to the server to which it has
-// connected"). Because the holder runs one transfer at a time, the request
-// is retried until the replica lands or the attempts run out; concurrent
-// calls for the same major coalesce.
+// connected"). The holder runs one transfer at a time and refuses a
+// request while one runs, so the request is repeated after each transfer
+// seen running ends, until the replica lands or the attempts run out.
+// Concurrent calls for the same major coalesce.
 func (s *Server) requestMigration(sg *segment, major uint64) {
 	release, ok := sg.claim(&sg.migrating, major)
 	if !ok {
@@ -773,21 +747,20 @@ func (s *Server) requestMigration(sg *segment, major uint64) {
 	}
 	defer release()
 
-	for attempt := 0; attempt < 20; attempt++ {
-		sg.mu.Lock()
-		ms := sg.majors[major]
-		done := ms == nil || ms.replicas[s.id] || sg.deleted
-		busy := ms != nil && ms.transferring
-		sg.mu.Unlock()
+	for attempt := 0; attempt < 20 && !s.closed.Load(); attempt++ {
+		ctx, cancel := context.WithTimeout(context.Background(), s.opts.OpTimeout)
+		_, _ = s.castOne(ctx, sg, &castMsg{Op: opRequestReplica, Major: major, Target: s.id})
+		cancel()
+		var done, running bool
+		ctx, cancel = context.WithTimeout(context.Background(), 4*s.opts.RetryDelay)
+		sg.await(ctx, func() bool {
+			ms := sg.majors[major]
+			done = ms == nil || sg.deleted || ms.replicas[s.id]
+			running = running || !done && ms.transferring
+			return done || running && !ms.transferring
+		})
+		cancel()
 		if done {
-			return
-		}
-		if !busy {
-			ctx, cancel := context.WithTimeout(context.Background(), s.opts.OpTimeout)
-			_, _ = s.castOne(ctx, sg, &castMsg{Op: opRequestReplica, Major: major, Target: s.id})
-			cancel()
-		}
-		if !s.sleep(context.Background(), 4*s.opts.RetryDelay) {
 			return
 		}
 	}

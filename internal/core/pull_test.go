@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 
@@ -170,7 +171,7 @@ func TestRunTransferStopsOnClose(t *testing.T) {
 
 	returned := make(chan struct{})
 	go func() {
-		srv.runTransfer(srv.tab.get(id), version.InitialMajor, "bare")
+		srv.runTransfer(context.Background(), srv.tab.get(id), version.InitialMajor, "bare")
 		close(returned)
 	}()
 	select {
@@ -189,4 +190,117 @@ func TestRunTransferStopsOnClose(t *testing.T) {
 	if d := time.Since(closed); d > 5*c.copts.RetryDelay {
 		t.Fatalf("runTransfer returned %v after Close, want within a few RetryDelay (%v)", d, c.copts.RetryDelay)
 	}
+}
+
+// TestNewHolderDoesNotWaitOutDeadline covers a replica step that finds the
+// holder's one transfer slot taken. A new token holder without a replica
+// must learn of the refusal at once and get its replica as soon as the
+// running transfer ends, and an AddReplica issued meanwhile must return
+// once its replica lands — neither may wait out a 2×OpTimeout deadline for
+// a request that was dropped.
+func TestNewHolderDoesNotWaitOutDeadline(t *testing.T) {
+	c := newTestClusterCore(t, 3, func(o *Options) { o.RetryDelay = 20 * time.Millisecond })
+	ctx := ctxT(t, 30*time.Second)
+	bound := 10 * c.copts.RetryDelay
+	srv0, srv2 := c.nodes[0].srv, c.nodes[2].srv
+	major := uint64(version.InitialMajor)
+
+	// newFile makes a file held by srv0 with replicas on srv0 and srv1, which
+	// srv2 has joined without a replica.
+	newFile := func(t *testing.T) (*segment, *segment) {
+		t.Helper()
+		params := DefaultParams()
+		params.MinReplicas = 2
+		id, err := srv0.Create(ctx, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv0.Write(ctx, id, WriteReq{Data: []byte("payload")}); err != nil {
+			t.Fatal(err)
+		}
+		sg0 := srv0.tab.get(id)
+		waitUntil(t, 5*time.Second, "replicas on srv0 and srv1", func() bool {
+			sg0.mu.Lock()
+			defer sg0.mu.Unlock()
+			ms := sg0.majors[major]
+			return !ms.transferring && ms.replicas[srv0.ID()] && ms.replicas[c.nodes[1].srv.ID()]
+		})
+		if _, err := srv2.Stat(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+		return sg0, srv2.tab.get(id)
+	}
+	// holdTransfer opens a transfer, coordinated by from, to a target that
+	// never pulls; the returned func aborts it and reports when.
+	holdTransfer := func(t *testing.T, from *Server, sg *segment) (abort func() time.Time) {
+		t.Helper()
+		if _, err := from.castOne(ctx, sg, &castMsg{
+			Op: opBeginTransfer, Major: major, Source: srv0.ID(), Target: "nobody",
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return func() time.Time {
+			t.Helper()
+			if _, err := from.castAll(ctx, sg, &castMsg{Op: opAbortTransfer, Major: major}); err != nil {
+				t.Fatal(err)
+			}
+			return time.Now()
+		}
+	}
+	// finish waits for errc and fails unless it yields nil within bound of
+	// the abort.
+	finish := func(t *testing.T, what string, errc <-chan error, aborted time.Time) {
+		t.Helper()
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if d := time.Since(aborted); d > bound {
+				t.Fatalf("%s returned %v after the transfer ended, want within %v", what, d, bound)
+			}
+		case <-time.After(4 * c.copts.OpTimeout):
+			t.Fatalf("%s still blocked %v after the transfer ended", what, 4*c.copts.OpTimeout)
+		}
+	}
+
+	t.Run("new holder", func(t *testing.T) {
+		_, sg2 := newFile(t)
+		// srv2 takes the token, as a write's token pass does, and finds its
+		// transfer slot taken before its replica step runs.
+		if _, err := srv2.acquireToken(ctx, sg2, major); err != nil {
+			t.Fatal(err)
+		}
+		abort := holdTransfer(t, srv2, sg2)
+		errc := make(chan error, 1)
+		go func() {
+			errc <- srv2.retry(ctx, func() error {
+				if srv2.runTransfer(ctx, sg2, major, srv2.ID()) {
+					return nil
+				}
+				return ErrBusy
+			})
+		}()
+		time.Sleep(5 * c.copts.RetryDelay)
+		finish(t, "replica step", errc, abort())
+		sg2.mu.Lock()
+		defer sg2.mu.Unlock()
+		if rep := sg2.local[major]; rep == nil || string(rep.data) != "payload" {
+			t.Fatalf("new holder's replica = %+v, want the file's data", rep)
+		}
+	})
+
+	t.Run("AddReplica", func(t *testing.T) {
+		sg0, sg2 := newFile(t)
+		abort := holdTransfer(t, srv0, sg0)
+		errc := make(chan error, 1)
+		go func() { errc <- srv0.AddReplica(ctx, sg0.id, major, srv2.ID()) }()
+		time.Sleep(5 * c.copts.RetryDelay)
+		finish(t, "AddReplica", errc, abort())
+		sg2.mu.Lock()
+		defer sg2.mu.Unlock()
+		if sg2.local[major] == nil {
+			t.Fatal("AddReplica returned before the target held the replica")
+		}
+	})
 }

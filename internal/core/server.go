@@ -225,7 +225,7 @@ func (s *Server) createSeg(ctx context.Context, id SegID, params Params) (SegID,
 	if err != nil {
 		return 0, err
 	}
-	sg.group = grp
+	sg.setGroup(grp)
 	s.tab.put(id, sg)
 	sg.mu.Lock()
 	s.persistMeta(sg)
@@ -345,20 +345,16 @@ func (s *Server) AddReplica(ctx context.Context, id SegID, major uint64, target 
 		return err
 	}
 	// Wait for the transfer to land.
-	deadline := time.Now().Add(2 * s.opts.OpTimeout)
-	for time.Now().Before(deadline) {
-		sg.mu.Lock()
+	wctx, cancel := context.WithTimeout(ctx, 2*s.opts.OpTimeout)
+	defer cancel()
+	if sg.await(wctx, func() bool {
 		ms := sg.majors[major]
-		done := ms != nil && ms.replicas[target]
-		sg.mu.Unlock()
-		if done {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return derr.FromContext(ctx, "core.addreplica")
-		case <-time.After(s.opts.RetryDelay):
-		}
+		return ms != nil && ms.replicas[target]
+	}) {
+		return nil
+	}
+	if ctx.Err() != nil {
+		return derr.FromContext(ctx, "core.addreplica")
 	}
 	return ErrBusy
 }
@@ -465,7 +461,8 @@ func (s *Server) Write(ctx context.Context, id SegID, req WriteReq) (version.Pai
 // spacing attempts by RetryDelay. When the context expires mid-retry the
 // caller sees a typed Timeout wrapping the last attempt's error, so the
 // transient cause stays visible (errors.Is still matches ErrBusy) while the
-// code that crosses the RPC boundary says what actually ended the wait.
+// code that crosses the RPC boundary says what actually ended the wait. A
+// closing server stops retrying and returns the last error.
 func (s *Server) retry(ctx context.Context, fn func() error) error {
 	for {
 		err := fn()
@@ -475,6 +472,8 @@ func (s *Server) retry(ctx context.Context, fn func() error) error {
 		select {
 		case <-ctx.Done():
 			return derr.Wrap(derr.CodeDeadline, "core.retry", err)
+		case <-s.done:
+			return err
 		case <-time.After(s.opts.RetryDelay):
 		}
 	}
@@ -617,9 +616,7 @@ func (s *Server) joinSegment(ctx context.Context, id SegID) (*segment, error) {
 	if err != nil {
 		return nil, ErrNotFound
 	}
-	sg.mu.Lock()
-	sg.group = grp
-	sg.mu.Unlock()
+	sg.setGroup(grp)
 	return sg, nil
 }
 
@@ -690,9 +687,7 @@ func (s *Server) rejoinRecovered(sg *segment) {
 		grp, err := s.proc.JoinReconcile(ctx, sg.id.groupName(), app, nil)
 		cancel()
 		if err == nil {
-			sg.mu.Lock()
-			sg.group = grp
-			sg.mu.Unlock()
+			sg.setGroup(grp)
 			return
 		}
 		select {
@@ -712,9 +707,9 @@ func (s *Server) rejoinRecovered(sg *segment) {
 		return
 	}
 	sg.mu.Lock()
-	sg.group = grp
 	sg.graceUntil = time.Now().Add(2 * s.opts.JoinWait)
 	sg.mu.Unlock()
+	sg.setGroup(grp)
 	grp.ProbeTargets(s.proc.Peers())
 }
 
@@ -849,6 +844,7 @@ func (a *segApp) ViewChange(v isis.View, reason isis.ViewReason) {
 			sg.dissolved = false
 		}
 	}
+	sg.wakeLocked()
 	sg.mu.Unlock()
 }
 
@@ -865,6 +861,7 @@ func (a *segApp) Restore(snap []byte) {
 	}
 	a.sg.mu.Lock()
 	a.sg.installSnapshotLocked(&ss)
+	a.sg.wakeLocked()
 	a.sg.mu.Unlock()
 }
 

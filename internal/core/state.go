@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -147,6 +148,52 @@ type segment struct {
 	// batches reach the store in apply order, and nothing is acknowledged
 	// before its own PutBatch returns. Empty whenever sg.mu is free.
 	dirty []store.Op
+
+	// changed is made by an await and closed (and reset) by every event
+	// one can wait for: a commit, a view change or snapshot install, and
+	// the group handle being stored.
+	changed chan struct{}
+}
+
+// await blocks until cond, evaluated under sg.mu, holds, reporting false
+// instead if ctx expires or the server closes first. cond is re-checked
+// after every state change (see segment.changed), so a waiter wakes on the
+// delivery that decides it, not on a poll interval.
+func (sg *segment) await(ctx context.Context, cond func() bool) bool {
+	sg.mu.Lock()
+	for !cond() {
+		if sg.changed == nil {
+			sg.changed = make(chan struct{})
+		}
+		ch := sg.changed
+		sg.mu.Unlock()
+		select {
+		case <-ch:
+		case <-ctx.Done():
+			return false
+		case <-sg.srv.done:
+			return false
+		}
+		sg.mu.Lock()
+	}
+	sg.mu.Unlock()
+	return true
+}
+
+// wakeLocked wakes every await on sg to re-check its condition.
+func (sg *segment) wakeLocked() {
+	if sg.changed != nil {
+		close(sg.changed)
+		sg.changed = nil
+	}
+}
+
+// setGroup stores the segment's group handle and wakes its waiters.
+func (sg *segment) setGroup(grp *isis.Group) {
+	sg.mu.Lock()
+	sg.group = grp
+	sg.wakeLocked()
+	sg.mu.Unlock()
 }
 
 // stageLocked adds op to the commit window, keeping first-write order with
@@ -165,8 +212,10 @@ func (sg *segment) stageLocked(op store.Op) {
 // commitLocked closes the commit window: everything staged since the last
 // commit goes to the store as one PutBatch — a single fsync on the log
 // store. Its error is the caller's to report; the LogStore fails stop, so
-// after one failed commit every later one fails too.
+// after one failed commit every later one fails too. Every entry point
+// that changes state commits, so this is also where waiters wake.
 func (sg *segment) commitLocked() error {
+	sg.wakeLocked()
 	ops := sg.dirty
 	sg.dirty = nil
 	if len(ops) == 0 {
@@ -526,7 +575,9 @@ func (sg *segment) applyTokenRequest(from simnet.NodeID, m *castMsg) *castReply 
 			nms.addReplica(r)
 		}
 	}
-	if rep := sg.local[m.Major]; rep != nil && sg.view.Contains(sg.srv.id) {
+	// Only a copy at the branch pair is cloned, never a stale one; its
+	// member stays listed, and the phantom-replica path corrects that.
+	if rep := sg.local[m.Major]; rep != nil && rep.pair == ms.pair && sg.view.Contains(sg.srv.id) {
 		clone := &localReplica{
 			data:   append([]byte(nil), rep.data...),
 			pair:   nms.pair,
@@ -607,12 +658,16 @@ func (sg *segment) applyRequestReplica(from simnet.NodeID, m *castMsg) *castRepl
 	if ms.replicas[m.Target] {
 		return &castReply{OK: true, Pair: ms.pair} // already a replica
 	}
+	// One transfer at a time: refuse visibly, so the requester retries.
+	if ms.transferring {
+		return replyFail(derr.CodeBusy, "transfer running")
+	}
 	if ms.holder == "" || !sg.view.Contains(ms.holder) {
 		return replyFail(derr.CodeBusy, "holder unavailable")
 	}
 	// Only the holder acts (it coordinates the transfer); everyone replies.
-	if ms.holder == sg.srv.id && !ms.transferring {
-		go sg.srv.runTransfer(sg, m.Major, m.Target)
+	if ms.holder == sg.srv.id {
+		go sg.srv.runTransfer(context.Background(), sg, m.Major, m.Target)
 	}
 	return &castReply{OK: true, Pair: ms.pair}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/derr"
+	"repro/internal/isis"
 	"repro/internal/simnet"
 	"repro/internal/version"
 	"repro/internal/wire"
@@ -32,9 +33,10 @@ func (m *directMsg) failed() bool { return m.Code != 0 || m.Err != "" }
 
 // runTransfer is executed by the token holder to create a replica of major
 // on target, reporting whether the replica landed. It is idempotent and
-// gives up on transient failures; callers that need certainty poll the
-// replica set (see AddReplica).
-func (s *Server) runTransfer(sg *segment, major uint64, target simnet.NodeID) bool {
+// gives up on transient failures. A new holder without a replica runs it for
+// itself (writeOnce); other servers ask the holder with opRequestReplica.
+// Each wait wakes on the delivery that decides it (segment.await).
+func (s *Server) runTransfer(ctx context.Context, sg *segment, major uint64, target simnet.NodeID) bool {
 	sg.mu.Lock()
 	ms := sg.majors[major]
 	if ms == nil || ms.holder != s.id || ms.transferring || sg.deleted {
@@ -58,60 +60,48 @@ func (s *Server) runTransfer(sg *segment, major uint64, target simnet.NodeID) bo
 		}
 	}
 	inView := sg.view.Contains(target)
+	grp := sg.group
 	sg.mu.Unlock()
-	if source == "" || source == target {
+	if source == "" || source == target || grp == nil {
 		return false
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), s.opts.OpTimeout)
+	octx, cancel := context.WithTimeout(ctx, s.opts.OpTimeout)
 	defer cancel()
 
 	// A transfer target must be a file-group member to observe the transfer
 	// casts; ask it to join first (the paper's servers similarly join a
-	// file group before holding a replica, §3.2).
+	// file group before holding a replica, §3.2), and wait for the view
+	// that admits it.
 	if !inView {
-		if _, err := s.directCall(ctx, target, &directMsg{Kind: dmOpenReq, Seg: sg.id}); err != nil {
+		if _, err := s.directCall(octx, target, &directMsg{Kind: dmOpenReq, Seg: sg.id}); err != nil {
 			return false
 		}
-		// Wait for the join within ctx's budget; a closing server stops.
-		for {
-			sg.mu.Lock()
-			joined := sg.view.Contains(target)
-			sg.mu.Unlock()
-			if joined {
-				break
-			}
-			if !s.sleep(ctx, s.opts.RetryDelay) {
-				return false
-			}
+		if !sg.await(octx, func() bool { return sg.view.Contains(target) }) {
+			return false
 		}
 	}
 
-	if _, err := s.castOne(ctx, sg, &castMsg{
+	if _, err := s.castOne(octx, sg, &castMsg{
 		Op: opBeginTransfer, Major: major, Source: source, Target: target,
 	}); err != nil {
 		return false
 	}
 
-	// The target pulls the data and casts opReplicaReady; wait for the
-	// transfer flag to clear, aborting on timeout so updates can resume.
-	deadline := time.Now().Add(4 * s.opts.OpTimeout)
-	for time.Now().Before(deadline) {
-		sg.mu.Lock()
-		ms := sg.majors[major]
-		done := ms == nil || !ms.transferring
-		landed := ms != nil && ms.replicas[target]
-		sg.mu.Unlock()
-		if done {
-			return landed
-		}
-		if !s.sleep(context.Background(), s.opts.RetryDelay) {
-			return false
-		}
-	}
-	abortCtx, cancel2 := context.WithTimeout(context.Background(), s.opts.OpTimeout)
+	// The target pulls the data and casts opReplicaReady (or
+	// opAbortTransfer); wait for the delivery that clears the transfer
+	// flag, aborting when the budget runs out so updates can resume.
+	wctx, cancel2 := context.WithTimeout(ctx, 4*s.opts.OpTimeout)
 	defer cancel2()
-	_, _ = s.castOne(abortCtx, sg, &castMsg{Op: opAbortTransfer, Major: major})
+	var landed bool
+	if sg.await(wctx, func() bool {
+		ms := sg.majors[major]
+		landed = ms != nil && ms.replicas[target]
+		return ms == nil || !ms.transferring
+	}) {
+		return landed
+	}
+	_ = grp.CastAsync(encodeCast(&castMsg{Op: opAbortTransfer, Major: major}))
 	return false
 }
 
@@ -157,29 +147,10 @@ func (s *Server) sleep(ctx context.Context, d time.Duration) bool {
 // because dropping it would leave the file frozen for updates until the
 // holder's transfer times out.
 func (s *Server) castTransferOutcome(ctx context.Context, sg *segment, m *castMsg) {
-	for {
-		if grp := sg.groupHandle(); grp != nil {
-			_ = grp.CastAsync(encodeCast(m))
-			return
-		}
-		if !s.sleep(ctx, s.opts.RetryDelay) {
-			return
-		}
+	var grp *isis.Group
+	if sg.await(ctx, func() bool { grp = sg.group; return grp != nil }) {
+		_ = grp.CastAsync(encodeCast(m))
 	}
-}
-
-func (sg *segment) groupHandle() (grp groupCaster) {
-	sg.mu.Lock()
-	defer sg.mu.Unlock()
-	if sg.group == nil {
-		return nil
-	}
-	return sg.group
-}
-
-// groupCaster is the slice of the isis.Group API used off the hot path.
-type groupCaster interface {
-	CastAsync(payload []byte) error
 }
 
 // dropPhantomReplica corrects the group record when this server is listed

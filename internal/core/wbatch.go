@@ -200,11 +200,7 @@ func (s *Server) writeBatchOnce(ctx context.Context, sg *segment, major uint64, 
 	_, haveReplica := sg.local[granted]
 	sg.mu.Unlock()
 	if !haveReplica {
-		go func() {
-			bctx, bcancel := context.WithTimeout(context.Background(), 2*s.opts.OpTimeout)
-			defer bcancel()
-			_ = s.ensureLocalReplica(bctx, sg, granted)
-		}()
+		go s.runTransfer(context.Background(), sg, granted, s.id)
 	}
 
 	defer func() {

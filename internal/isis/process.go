@@ -88,9 +88,11 @@ func (p *Process) Close() {
 	close(p.done)
 	p.wg.Wait()
 	// Stop delivery goroutines after the loop has exited so no more
-	// deliveries can be enqueued.
+	// deliveries can be enqueued, and fail the casts still waiting for
+	// replies, which can no longer arrive.
 	for _, g := range p.groups {
 		g.dq.stop()
+		g.failCalls(ErrClosed)
 	}
 	_ = p.tr.Close()
 }

@@ -69,6 +69,12 @@ type Server struct {
 	inflight    atomic.Int64
 	maxInflight atomic.Int64
 	sheds       atomic.Uint64
+
+	// ctx parents every operation's context. Close cancels it first, so an
+	// in-flight handler stops waiting on the layers below and returns
+	// before they shut down.
+	ctx  context.Context
+	stop context.CancelFunc
 }
 
 // New starts the protocol stack. Call ServeNFS to expose the RPC endpoint,
@@ -85,10 +91,11 @@ func New(cfg Config) (*Server, error) {
 	cs := core.NewServer(proc, demux.Channel(1), cfg.Store, cfg.Core)
 	env := envelope.New(cs, envelope.Options{DefaultParams: cfg.DefaultParams})
 	s := &Server{cfg: cfg, demux: demux, proc: proc, core: cs, env: env, gw: newGateway()}
+	s.ctx, s.stop = context.WithCancel(context.Background())
 	s.maxInflight.Store(int64(cfg.MaxInflight))
 
 	if cfg.InitRoot {
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.OpTimeout)
+		ctx, cancel := s.opCtx()
 		defer cancel()
 		if err := env.InitRoot(ctx); err != nil {
 			s.Close()
@@ -133,18 +140,21 @@ func (s *Server) ServeNFS(addr string) (string, error) {
 	return bound, nil
 }
 
-// Close shuts the server down.
+// Close shuts the server down. In-flight operations are cancelled and
+// have returned by the time the layers under them close, so no handler
+// touches the store after Close returns.
 func (s *Server) Close() {
+	s.stop()
+	s.gw.close()
 	if s.rpc != nil {
 		_ = s.rpc.Close()
 	}
-	s.gw.close()
 	s.core.Close()
 	s.proc.Close()
 }
 
 func (s *Server) opCtx() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), s.cfg.OpTimeout)
+	return context.WithTimeout(s.ctx, s.cfg.OpTimeout)
 }
 
 // ---------------------------------------------------- admission control ----
