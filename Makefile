@@ -21,9 +21,13 @@ race:
 	$(GO) test -race ./internal/core ./internal/isis ./internal/server ./internal/agent ./internal/derr
 
 # Repeated runs of the tests that catch a transfer installing a stale copy
-# or an update relabelling one (a lost acked write shows up as zeros).
+# or an update relabelling one (a lost acked write shows up as zeros), then
+# of the one write path's tests: a cold write is one cast, a lost Expect
+# race moves nothing, a holder's read waits for its own replica, and a view
+# change ends a transfer orphaned by its holder.
 stress:
 	$(GO) test -count=100 -run 'TestConcurrentMultiWriter$$|TestTransferInstallsOnlyFrozenPair|TestUpdateDropsStaleReplica' ./internal/core
+	$(GO) test -count=10 -run 'TestPiggyback|TestColdWriteIsOneCast$$|TestHolderReadWaitsForOwnReplica$$|TestViewChangeEndsOrphanedTransfer$$' ./internal/core
 
 bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkT1|BenchmarkAblation|BenchmarkContention|BenchmarkHotReadLocal' -benchtime=1x .

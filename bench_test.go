@@ -340,48 +340,6 @@ func BenchmarkS2Blast(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPiggyback measures §3.3's first unimplemented
-// optimization: piggybacking the update on the token request. Writers
-// alternate so every write needs the token; with piggyback the token pass,
-// stability notification and update share one communication round. The
-// msgs/op metric (simulated-network messages per write) shows the saving
-// directly.
-func BenchmarkAblationPiggyback(b *testing.B) {
-	run := func(b *testing.B, piggyback bool) {
-		copts := testutil.FastCoreOpts()
-		copts.Piggyback = piggyback
-		c := testutil.NewCellOpts(3, testutil.FastISISOpts(), copts)
-		b.Cleanup(c.Close)
-		ctx := benchCtx(b)
-		params := core.DefaultParams()
-		params.MinReplicas = 3
-		id, err := c.Nodes[0].Core.Create(ctx, params)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Nodes[0].Core.Write(ctx, id, core.WriteReq{Data: []byte("seed")}); err != nil {
-			b.Fatal(err)
-		}
-		for r := 1; r < 3; r++ {
-			addReplicaRetry(b, ctx, c.Nodes[0].Core, id, c.IDs[r])
-		}
-		waitBenchStable(b, ctx, c.Nodes[0].Core, id)
-		payload := []byte("alternating-writer-payload")
-		c.Net.ResetStats()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			srv := c.Nodes[i%2].Core
-			if _, err := srv.Write(ctx, id, core.WriteReq{Off: 0, Data: payload}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(c.Net.Stats().Sent)/float64(b.N), "msgs/op")
-	}
-	b.Run("piggyback=off", func(b *testing.B) { run(b, false) })
-	b.Run("piggyback=on", func(b *testing.B) { run(b, true) })
-}
-
 // BenchmarkAblationHotRoot measures the §7 future-work hot-file mode on its
 // motivating workload: every server repeatedly reading the same root
 // directory. With the mode off only one replica exists and most reads pay a
@@ -481,9 +439,7 @@ func BenchmarkContentionMultiWriter(b *testing.B) {
 // WriteBatch versus 8 sequential Writes.
 func BenchmarkAblationBatchedCasts(b *testing.B) {
 	run := func(b *testing.B, batched bool) {
-		copts := testutil.FastCoreOpts()
-		copts.Piggyback = true
-		c := testutil.NewCellOpts(3, testutil.FastISISOpts(), copts)
+		c := testutil.NewCell(3)
 		b.Cleanup(c.Close)
 		ctx := benchCtx(b)
 		params := core.DefaultParams()

@@ -15,15 +15,13 @@ func retryCore(fn func() error) error {
 	return derr.RetryIf(10*time.Second, core.IsRetryable, fn)
 }
 
-// This file holds the ablation experiments for two optimizations the paper
-// describes but does not implement: §3.3's update piggybacked on the token
-// request (A1) and §7's hot-file mode (A3). They quantify what the paper
-// left on the table.
+// This file holds the ablation experiment for §7's hot-file mode (A3), an
+// optimization the paper describes but does not implement. It quantifies
+// what the paper left on the table.
 
 func init() {
-	Experiments["A1"] = RunA1
 	Experiments["A3"] = RunA3
-	Order = append(Order, "A1", "A3")
+	Order = append(Order, "A3")
 }
 
 // ablationCell builds a cell with n servers and one segment replicated on
@@ -57,52 +55,6 @@ func ablationCell(n int, copts core.Options, params core.Params, replicas int) (
 		return nil, 0, err
 	}
 	return c, id, nil
-}
-
-// RunA1 measures §3.3 optimization 1 (piggybacking the update on the token
-// request). Writers alternate so every write needs the token; the combined
-// cast folds token pass, stability notification, and update into one
-// total-order slot.
-func RunA1() (*Table, error) {
-	t := &Table{
-		ID:     "A1",
-		Title:  "ablation: §3.3 optimization 1 — update piggybacked on token request (alternating writers)",
-		Header: []string{"piggyback", "latency/write", "msgs/write"},
-	}
-	const iters = 400
-	for _, on := range []bool{false, true} {
-		copts := testutil.FastCoreOpts()
-		copts.Piggyback = on
-		params := core.DefaultParams()
-		params.MinReplicas = 3
-		c, id, err := ablationCell(3, copts, params, 3)
-		if err != nil {
-			return nil, err
-		}
-		cx, cancel := ctx()
-		payload := []byte("alternating-writer-payload")
-		c.Net.ResetStats()
-		i := 0
-		avg := timeAvg(iters, func() error {
-			srv := c.Nodes[i%2].Core
-			i++
-			_, err := srv.Write(cx, id, core.WriteReq{Off: 0, Data: payload})
-			return err
-		})
-		msgs := float64(c.Net.Stats().Sent) / float64(iters)
-		cancel()
-		c.Close()
-		label := "off"
-		if on {
-			label = "on"
-		}
-		t.Rows = append(t.Rows, []string{label, ms(avg), fmt.Sprintf("%.1f", msgs)})
-	}
-	t.Notes = append(t.Notes,
-		"every write must move the token; with the optimization the token pass,",
-		"the §3.4 unstable mark, and the update share one communication round,",
-		"so per-write message cost roughly halves (heartbeats included in counts)")
-	return t, nil
 }
 
 // RunA3 measures the §7 future-work hot-file mode against the problem the

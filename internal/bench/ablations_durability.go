@@ -291,7 +291,6 @@ func RunA8() (*Table, error) {
 	}
 
 	copts := testutil.FastCoreOpts()
-	copts.Piggyback = true
 	params := core.DefaultParams()
 	params.MinReplicas = 3
 	params.Stability = false

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -81,32 +80,5 @@ func TestRunT1EndToEnd(t *testing.T) {
 		if row[len(row)-1] != "observed" {
 			t.Errorf("row %v not observed", row)
 		}
-	}
-}
-
-// TestRunA1EndToEnd checks the §3.3 piggyback ablation end to end: with the
-// optimization on, alternating writers must send fewer messages per write,
-// because the token pass, the unstable mark and the update share one cast.
-func TestRunA1EndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment run skipped in -short")
-	}
-	tb, err := RunA1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 2 {
-		t.Fatalf("A1 rows = %v", tb.Rows)
-	}
-	off, err := strconv.ParseFloat(tb.Rows[0][2], 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, err := strconv.ParseFloat(tb.Rows[1][2], 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on >= off {
-		t.Errorf("msgs/write: piggyback on %.1f, off %.1f; want fewer with it on", on, off)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/derr"
+	"repro/internal/simnet"
 	"repro/internal/store"
 	"repro/internal/version"
 )
@@ -150,6 +151,62 @@ func TestOneCommitPerDelivery(t *testing.T) {
 		if got := n - before[i]; got != 1 {
 			t.Errorf("srv%d: one 8-op batch cost %d fsyncs, want 1", i, got)
 		}
+	}
+}
+
+// TestColdWriteIsOneCast pins the cost of a cold write: a write from a
+// server that does not hold the token, to a stable file with a replica on
+// every member, is one cast — the token pass, the unstable mark and the
+// update share its slot — so every member pays exactly one fsync for it,
+// where Table 1's three casts would cost three.
+func TestColdWriteIsOneCast(t *testing.T) {
+	copts := testCoreOpts()
+	copts.StabilityDelay = time.Minute // keep the return to stability out of the counts
+	c, logs := newLogCluster(t, 3, copts)
+	ctx := ctxT(t, 30*time.Second)
+	a, b := c.nodes[0].srv, c.nodes[1].srv
+
+	// A new file is stable, and adding replicas leaves it so.
+	id, err := a.Create(ctx, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range c.ids[1:] {
+		if err := a.AddReplica(ctx, id, 0, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settled := func(holder simnet.NodeID, unstable bool) func() bool {
+		return func() bool {
+			for _, nd := range c.nodes {
+				info, err := nd.srv.Stat(ctx, id)
+				if err != nil || len(info.Versions) != 1 {
+					return false
+				}
+				v := info.Versions[0]
+				if len(v.Replicas) != 3 || v.Holder != holder || v.Unstable != unstable {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	waitUntil(t, 10*time.Second, "three stable replicas held by srv0", settled(a.ID(), false))
+
+	before := syncs(logs)
+	if _, err := b.Write(ctx, id, WriteReq{Data: []byte("cold")}); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 10*time.Second, "token on srv1, file unstable everywhere", settled(b.ID(), true))
+	time.Sleep(10 * c.iopts.HeartbeatInterval) // room for any further cast to land
+	for i, n := range syncs(logs) {
+		if got := n - before[i]; got != 1 {
+			t.Errorf("srv%d: a cold write cost %d fsyncs, want 1 (one cast)", i, got)
+		}
+	}
+	data, _, err := c.nodes[2].srv.Read(ctx, id, 0, 0, -1)
+	if err != nil || string(data) != "cold" {
+		t.Fatalf("read after the cold write = %q, %v", data, err)
 	}
 }
 

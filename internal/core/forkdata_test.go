@@ -221,7 +221,7 @@ func TestForkClonesOnlyCurrentReplica(t *testing.T) {
 
 	const newMajor = 1 << 40
 	reply := (&segApp{sg: sg}).Deliver(srv.ID(), encodeCast(&castMsg{
-		Op: opTokenRequest, Major: major, NewMajor: newMajor, HasData: true,
+		Op: opTokenUpdate, Major: major, NewMajor: newMajor, HasData: true,
 	}))
 	var r castReply
 	if err := wire.Unmarshal(reply, &r); err != nil {

@@ -17,6 +17,7 @@ type ReadStats struct {
 	Local      uint64 // served from this server's replica, zero communication
 	Forwarded  uint64 // forwarded to another server (Figure 2 / §3.4)
 	TokenCasts uint64 // opReadToken grant casts issued
+	Failovers  uint64 // unstable reads that took the §3.6 holder-failure path
 }
 
 // TransferStats counts replica-data movement on the direct channel; the A8
@@ -148,16 +149,23 @@ func (s *Server) readOnce(ctx context.Context, id SegID, major uint64, off, n in
 	if err != nil {
 		return nil, version.Pair{}, err
 	}
-	sg.mu.Lock()
-	p := s.readPlanLocked(sg, major, off, n)
-	sg.mu.Unlock()
+	plan := func() readPlan {
+		sg.mu.Lock()
+		defer sg.mu.Unlock()
+		return s.readPlanLocked(sg, major, off, n)
+	}
+	p := plan()
 
 	// A read-token grant converts this read — and every one after it until
 	// the next write — from a forwarded round trip into a local replica hit.
 	if p.wantToken && s.acquireReadToken(ctx, sg, p.major) {
-		sg.mu.Lock()
-		p = s.readPlanLocked(sg, major, off, n)
-		sg.mu.Unlock()
+		p = plan()
+	}
+	// The holder's own replica is the primary while the file is unstable
+	// (§3.4): if it is not here yet, wait for it.
+	if p.err == nil && !p.served && p.unstable && p.holder == s.id {
+		s.awaitOwnReplica(ctx, sg, p.major)
+		p = plan()
 	}
 	if p.err != nil {
 		return nil, version.Pair{}, p.err
@@ -178,15 +186,19 @@ func (s *Server) readOnce(ctx context.Context, id SegID, major uint64, off, n in
 	}
 
 	if p.unstable {
-		if p.holderIn && p.holder != s.id {
+		if !p.holderIn {
+			return s.readAfterHolderFailure(ctx, sg, p.major, off, n)
+		}
+		if p.holder != s.id {
 			data, pair, err := s.directRead(ctx, p.holder, id, p.major, off, n)
 			if err == nil {
 				s.stats.readsForwarded.Add(1)
 				return data, pair, nil
 			}
-			// Fall through to the §3.6 failure path.
 		}
-		return s.readAfterHolderFailure(ctx, sg, p.major, off, n)
+		// A reachable holder is never failed over: its replica may still be
+		// landing. Read retries until it serves or the file is stable.
+		return nil, version.Pair{}, ErrBusy
 	}
 
 	for _, t := range p.targets {
@@ -197,6 +209,25 @@ func (s *Server) readOnce(ctx context.Context, id SegID, major uint64, off, n in
 		}
 	}
 	return nil, version.Pair{}, ErrBusy
+}
+
+// awaitOwnReplica runs on the token holder of an unstable major that has no
+// current local replica. It waits until the replica lands, the token moves
+// or the transfer bringing the replica ends, and runs that transfer itself
+// if none is running (§3.1: the holder coordinates every transfer).
+func (s *Server) awaitOwnReplica(ctx context.Context, sg *segment, major uint64) {
+	sg.mu.Lock()
+	ms := sg.majors[major]
+	running := ms != nil && ms.transferring
+	sg.mu.Unlock()
+	if !running {
+		s.runTransfer(ctx, sg, major, s.id)
+		return
+	}
+	sg.await(ctx, func() bool {
+		ms, rep := sg.majors[major], sg.local[major]
+		return ms == nil || ms.holder != s.id || !ms.transferring || rep != nil && rep.pair == ms.pair
+	})
 }
 
 // sliceReplica extracts [off, off+n) from a replica, clamped to its size.
@@ -216,10 +247,11 @@ func sliceReplica(rep *localReplica, off, n int64) ([]byte, version.Pair) {
 
 // readAfterHolderFailure implements §3.6 ("Stability Notification in the
 // Presence of Failure"): when a reader holds (or finds) an unstable replica
-// and cannot contact the token holder, it broadcasts to the file group to
-// find a stable replica; if none exists it forces the most up-to-date
+// and the token holder has left the view, it broadcasts to the file group
+// to find a stable replica; if none exists it forces the most up-to-date
 // replica stable and destroys obsolete ones.
 func (s *Server) readAfterHolderFailure(ctx context.Context, sg *segment, major uint64, off, n int64) ([]byte, version.Pair, error) {
+	s.stats.failovers.Add(1)
 	sg.mu.Lock()
 	grp := sg.group
 	sg.mu.Unlock()
@@ -292,135 +324,6 @@ func (s *Server) readLocal(sg *segment, major uint64, off, n int64) ([]byte, ver
 }
 
 // ----------------------------------------------------------------- write --
-
-// writeOnce attempts one write: token acquisition if needed (§3.3),
-// stability notification at stream start (§3.4), then the totally ordered
-// update collecting the write-safety number of replica replies (§4) — the
-// Table 1 sequence.
-func (s *Server) writeOnce(ctx context.Context, id SegID, req WriteReq) (version.Pair, error) {
-	sg, err := s.openSegment(ctx, id)
-	if err != nil {
-		return version.Pair{}, err
-	}
-	sg.mu.Lock()
-	if sg.dissolved {
-		sg.mu.Unlock()
-		return version.Pair{}, ErrBusy
-	}
-	if sg.deleted {
-		sg.mu.Unlock()
-		return version.Pair{}, ErrNotFound
-	}
-	major := req.Major
-	if major == 0 {
-		major = sg.currentMajorLocked()
-	}
-	ms := sg.majors[major]
-	if ms == nil {
-		sg.mu.Unlock()
-		return version.Pair{}, ErrNotFound
-	}
-	params := sg.params
-	holder := ms.holder
-	grp := sg.group
-	ready := sg.readyLocked()
-	sg.mu.Unlock()
-	if grp == nil || !ready {
-		// Not joined yet, or inside the post-recovery grace window: writing
-		// through a possibly-obsolete recreated group would fork the file.
-		return version.Pair{}, ErrBusy
-	}
-
-	// §3.3 optimization 1: piggyback the update on the token request, one
-	// communication round for token pass + stability notification + update.
-	// Every write goes through the combined cast, including writes while
-	// holding the token (the state machine grants a held token trivially),
-	// so a locally stale holder view can never send a doomed plain update.
-	if s.opts.Piggyback {
-		pairs, errs, err := s.writeBatchOnce(ctx, sg, major, []WriteReq{req}, params)
-		if err != nil {
-			return version.Pair{}, err
-		}
-		return pairs[0], errs[0]
-	}
-
-	// Precondition 1 (Table 1): hold the token. "A server that lacks a
-	// token must acquire it before distributing an update... it is only done
-	// for the first in a series of updates."
-	if holder != s.id {
-		granted, err := s.acquireToken(ctx, sg, major)
-		if err != nil {
-			return version.Pair{}, err
-		}
-		major = granted
-		// The holder's replica is the primary during instability; make sure
-		// we actually have one before updating (§3.4). The holder runs every
-		// transfer (§3.1), so it runs this one itself, and a refusal reaches
-		// this write at once.
-		if !s.runTransfer(ctx, sg, major, s.id) {
-			return version.Pair{}, ErrBusy
-		}
-	}
-
-	// Precondition 2 (Table 1): mark replicas unstable before the first
-	// update of a stream. "All available replicas must be so notified
-	// before any updates can occur."
-	sg.mu.Lock()
-	ms = sg.majors[major]
-	if ms == nil {
-		sg.mu.Unlock()
-		return version.Pair{}, ErrBusy
-	}
-	needNotify := params.Stability && !ms.unstable
-	sg.mu.Unlock()
-	if needNotify {
-		nctx, cancel := context.WithTimeout(ctx, s.opts.OpTimeout)
-		replies, err := grp.Cast(nctx, encodeCast(&castMsg{Op: opMarkUnstable, Major: major}), isis.All)
-		cancel()
-		if err != nil {
-			return version.Pair{}, ErrBusy
-		}
-		for _, r := range replies {
-			if cr, decErr := decodeReply(r.Data); decErr == nil && cr.failed() {
-				return version.Pair{}, replyErr(cr)
-			}
-		}
-	}
-
-	// The distributed update itself: one communication round (§3.3).
-	call, err := grp.CastCall(encodeCast(&castMsg{
-		Op:       opUpdate,
-		Major:    major,
-		Off:      req.Off,
-		Data:     req.Data,
-		Truncate: req.Truncate,
-		Expect:   req.Expect,
-	}))
-	if err != nil {
-		if errors.Is(err, isis.ErrDissolved) {
-			return version.Pair{}, ErrBusy
-		}
-		return version.Pair{}, err
-	}
-
-	// Background maintenance: count all replies for replica regeneration
-	// (§3.1 method 1) and schedule the return to stability (§3.4).
-	defer func() {
-		go s.finishWrite(sg, major, call)
-		s.scheduleStability(sg, major)
-	}()
-
-	safety := s.effectiveSafety(sg, major, params)
-	if safety <= 0 {
-		// Asynchronous unsafe write: return before any replica replies (§4).
-		return version.Pair{}, nil
-	}
-	pair, werr := s.waitWrite(ctx, call, safety, s.stabilityAckNode(params))
-	if werr == nil {
-		s.waitRevocations(ctx, call)
-	}
-	return pair, werr
-}
 
 // waitRevocations blocks until every available member has applied an update
 // that revoked outstanding read tokens. A reader that has not applied the
@@ -534,38 +437,6 @@ func (s *Server) waitWrite(ctx context.Context, call *isis.Call, k int, mustFrom
 			return pair, err
 		}
 		want = len(replies) + 1
-	}
-}
-
-// acquireToken runs the §3.3/§3.5 token protocol: request the token; if the
-// holder is unreachable a new token (and major version) may be generated
-// subject to the write availability level. It returns the major version the
-// caller now holds the token for.
-//
-// The request waits for every available member's reply, not just the first:
-// under stability notification, readers forward to the holder recorded in
-// their local state, so the deposed holder must have applied the pass
-// before the new holder's first update — otherwise it would briefly serve
-// stale reads as a self-believed holder. Like the unstable-mark round, this
-// cost is paid once per write stream (§3.3).
-func (s *Server) acquireToken(ctx context.Context, sg *segment, major uint64) (uint64, error) {
-	proposed := s.majAlloc.Next()
-	r, err := s.castAll(ctx, sg, &castMsg{
-		Op: opTokenRequest, Major: major, NewMajor: proposed,
-		HasData: s.ensureDataForFork(ctx, sg, major),
-	})
-	if err != nil {
-		return 0, err
-	}
-	switch r.Outcome {
-	case tokGranted:
-		return major, nil
-	case tokGrantedNew:
-		return r.Major, nil
-	case tokUnavailable:
-		return 0, ErrWriteUnavailable
-	default:
-		return 0, ErrBusy
 	}
 }
 

@@ -23,9 +23,9 @@ func (r *castReply) failed() bool { return r.Code != 0 || r.Err != "" }
 // machine.
 const (
 	opUpdate         uint8 = iota + 1 // distribute a data update (§3.2, Fig 4)
-	opMarkUnstable                    // stability notification: begin update stream (§3.4)
+	_                                 // 2 is reserved: older minors' unstable mark, now part of opTokenUpdate
 	opMarkStable                      // stability notification: stream quiesced (§3.4)
-	opTokenRequest                    // acquire the write token; may regenerate (§3.3, §3.5)
+	_                                 // 4 is reserved: older minors' token request, now part of opTokenUpdate
 	opRequestReplica                  // ask the token holder to create a replica (§3.1)
 	opBeginTransfer                   // holder: transfer starting; delay updates (§3.1)
 	opReplicaReady                    // target: replica installed; resume updates
@@ -37,7 +37,7 @@ const (
 	opReconcile                       // merge divergent metadata after partition heal (§3.6)
 	opForceStable                     // failure path: force most-up-to-date replica stable (§3.6)
 	opInquiry                         // read-only replica state poll (§3.6 read recovery)
-	opTokenUpdate                     // §3.3 optimization 1: token request + piggybacked update
+	opTokenUpdate                     // every write's first op: token request + unstable mark + update (§3.3)
 	opReadToken                       // grant a shared read token (§4 read-side concurrency)
 )
 
@@ -296,6 +296,7 @@ type majorSnap struct {
 	Size         int64
 	Unstable     bool
 	Transferring bool
+	TransferTo   simnet.NodeID // encoded after all majors, so older snapshots still decode
 	Replicas     []simnet.NodeID
 }
 
@@ -328,6 +329,9 @@ func (s *segSnapshot) MarshalWire(e *wire.Encoder) {
 			e.String(string(r))
 		}
 	}
+	for i := range s.Majors {
+		e.String(string(s.Majors[i].TransferTo))
+	}
 }
 
 // SizeWire implements wire.Sizer.
@@ -339,6 +343,7 @@ func (s *segSnapshot) SizeWire() int {
 		for _, r := range m.Replicas {
 			n += wire.SizeString(string(r))
 		}
+		n += wire.SizeString(string(m.TransferTo))
 	}
 	return n
 }
@@ -374,6 +379,11 @@ func (s *segSnapshot) UnmarshalWire(d *wire.Decoder) error {
 			m.Replicas = append(m.Replicas, simnet.NodeID(d.String()))
 		}
 		s.Majors = append(s.Majors, m)
+	}
+	if d.Remaining() > 0 {
+		for i := range s.Majors {
+			s.Majors[i].TransferTo = simnet.NodeID(d.String())
+		}
 	}
 	return d.Err()
 }

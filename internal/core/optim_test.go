@@ -10,7 +10,8 @@ import (
 
 // These tests cover the first §3.3 protocol optimization, which the paper
 // describes but leaves unimplemented ("Deceit currently uses neither of
-// these optimizations"): piggybacking an update on a token request.
+// these optimizations"): piggybacking an update on a token request. Here it
+// is the only write path, so every write is one such cast.
 
 // holderOf returns the token holder of the segment's current version as seen
 // by s.
@@ -45,7 +46,7 @@ func fileGroupViewSize(c *testCluster, i int, id SegID) int {
 }
 
 func TestPiggybackWriteFromNonHolder(t *testing.T) {
-	c := newTestClusterCore(t, 3, func(o *Options) { o.Piggyback = true })
+	c := newTestCluster(t, 3)
 	ctx := ctxT(t, 15*time.Second)
 	a, b := c.nodes[0].srv, c.nodes[1].srv
 
@@ -71,7 +72,7 @@ func TestPiggybackWriteFromNonHolder(t *testing.T) {
 		t.Errorf("pair = %v, want advanced subversion", pair)
 	}
 	if h := holderOf(t, b, id); h != b.ID() {
-		t.Errorf("holder = %v, want %v (token must move with the piggybacked request)", h, b.ID())
+		t.Errorf("holder = %v, want %v (token must move with the write's cast)", h, b.ID())
 	}
 	for i, nd := range c.nodes {
 		data, _, err := nd.srv.Read(ctx, id, 0, 0, -1)
@@ -85,10 +86,7 @@ func TestPiggybackWriteFromNonHolder(t *testing.T) {
 }
 
 func TestPiggybackMarksUnstableAtomically(t *testing.T) {
-	c := newTestClusterCore(t, 3, func(o *Options) {
-		o.Piggyback = true
-		o.StabilityDelay = 300 * time.Millisecond
-	})
+	c := newTestClusterCore(t, 3, func(o *Options) { o.StabilityDelay = 300 * time.Millisecond })
 	ctx := ctxT(t, 15*time.Second)
 	a, b := c.nodes[0].srv, c.nodes[1].srv
 
@@ -103,16 +101,15 @@ func TestPiggybackMarksUnstableAtomically(t *testing.T) {
 	}
 	waitStable(t, a, id)
 
-	// A piggybacked write must leave the file unstable — the combined cast
-	// carries the §3.4 notification — and stability must return after the
-	// idle period.
+	// A write must leave the file unstable — its one cast carries the §3.4
+	// notification — and stability must return after the idle period.
 	if _, err := b.Write(ctx, id, WriteReq{Off: 0, Data: []byte("one shot cast!"), Truncate: true}); err != nil {
 		t.Fatal(err)
 	}
 	// The write may return on a remote replica's ack before the local apply
 	// lands, so poll: within the stability window every member must observe
 	// the unstable mark that the combined cast carried.
-	waitUntil(t, 2*time.Second, "unstable mark from piggybacked cast", func() bool {
+	waitUntil(t, 2*time.Second, "unstable mark from the write's cast", func() bool {
 		info, err := b.Stat(ctx, id)
 		if err != nil {
 			return false
@@ -128,7 +125,7 @@ func TestPiggybackMarksUnstableAtomically(t *testing.T) {
 }
 
 func TestPiggybackExpectConflict(t *testing.T) {
-	c := newTestClusterCore(t, 2, func(o *Options) { o.Piggyback = true })
+	c := newTestCluster(t, 2)
 	ctx := ctxT(t, 15*time.Second)
 	a, b := c.nodes[0].srv, c.nodes[1].srv
 
@@ -147,10 +144,21 @@ func TestPiggybackExpectConflict(t *testing.T) {
 	}
 	waitStable(t, a, id)
 
-	// A stale expectation must be rejected even on the piggybacked path.
+	// A stale expectation must be rejected, and a conditional write that
+	// lost its race must move nothing: the token stays with a and the file
+	// stays stable, at every member.
 	_, err = b.Write(ctx, id, WriteReq{Data: []byte("xx"), Expect: pair})
 	if !errors.Is(err, ErrVersionConflict) {
 		t.Fatalf("err = %v, want ErrVersionConflict", err)
+	}
+	for _, s := range []*Server{a, b} {
+		info, err := s.Stat(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := info.Versions[0]; v.Holder != a.ID() || v.Unstable {
+			t.Errorf("%v after the rejected write: holder %v, unstable %v; want holder %v, stable", s.ID(), v.Holder, v.Unstable, a.ID())
+		}
 	}
 	data, _, err := b.Read(ctx, id, 0, 0, -1)
 	if err != nil {
@@ -159,14 +167,21 @@ func TestPiggybackExpectConflict(t *testing.T) {
 	if string(data) != "v2" {
 		t.Errorf("data = %q after rejected conditional write", data)
 	}
-	// The rejected cast still passed the token and marked the file unstable;
-	// the new holder must return it to stability.
-	waitStable(t, b, id)
-	waitStable(t, a, id)
+
+	// In a batch, the ops after a refused conditional first op still apply.
+	if _, err := b.WriteBatch(ctx, id, []WriteReq{
+		{Data: []byte("xx"), Expect: pair},
+		{Off: 2, Data: []byte("!")},
+	}); !errors.Is(err, ErrVersionConflict) {
+		t.Fatalf("batch err = %v, want ErrVersionConflict", err)
+	}
+	if data, _, err = b.Read(ctx, id, 0, 0, -1); err != nil || string(data) != "v2!" {
+		t.Errorf("data = %q, %v after a batch whose first op was refused; want %q", data, err, "v2!")
+	}
 }
 
 func TestPiggybackRespectsAvailabilityUnderPartition(t *testing.T) {
-	c := newTestClusterCore(t, 3, func(o *Options) { o.Piggyback = true })
+	c := newTestCluster(t, 3)
 	ctx := ctxT(t, 15*time.Second)
 	a, b := c.nodes[0].srv, c.nodes[1].srv
 
@@ -188,7 +203,7 @@ func TestPiggybackRespectsAvailabilityUnderPartition(t *testing.T) {
 		return fileGroupViewSize(c, 1, id) == 1
 	})
 
-	// The piggybacked token request must still obey the medium availability
+	// The write's token request must still obey the medium availability
 	// constraint: no majority, no token, no write.
 	wctx := ctxT(t, 3*time.Second)
 	_, err = b.Write(wctx, id, WriteReq{Data: []byte("minority")})
@@ -199,7 +214,7 @@ func TestPiggybackRespectsAvailabilityUnderPartition(t *testing.T) {
 }
 
 func TestPiggybackStreamThenStabilityReturns(t *testing.T) {
-	c := newTestClusterCore(t, 3, func(o *Options) { o.Piggyback = true })
+	c := newTestCluster(t, 3)
 	ctx := ctxT(t, 20*time.Second)
 	a, b := c.nodes[0].srv, c.nodes[1].srv
 
@@ -214,8 +229,9 @@ func TestPiggybackStreamThenStabilityReturns(t *testing.T) {
 	}
 	waitStable(t, a, id)
 
-	// First write of b's stream piggybacks; the rest hold the token and use
-	// the plain update path. All must apply in order.
+	// The first write of b's stream moves the token; the rest find it held
+	// and have it granted trivially in the same cast. All must apply in
+	// order.
 	want := ""
 	for i := 0; i < 8; i++ {
 		chunk := []byte{byte('0' + i)}

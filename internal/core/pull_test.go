@@ -266,9 +266,9 @@ func TestNewHolderDoesNotWaitOutDeadline(t *testing.T) {
 
 	t.Run("new holder", func(t *testing.T) {
 		_, sg2 := newFile(t)
-		// srv2 takes the token, as a write's token pass does, and finds its
-		// transfer slot taken before its replica step runs.
-		if _, err := srv2.acquireToken(ctx, sg2, major); err != nil {
+		// srv2 takes the token with a write's token op (an empty update),
+		// and finds its transfer slot taken before its replica step runs.
+		if _, err := srv2.castAll(ctx, sg2, &castMsg{Op: opTokenUpdate, Major: major}); err != nil {
 			t.Fatal(err)
 		}
 		abort := holdTransfer(t, srv2, sg2)
@@ -303,4 +303,139 @@ func TestNewHolderDoesNotWaitOutDeadline(t *testing.T) {
 			t.Fatal("AddReplica returned before the target held the replica")
 		}
 	})
+}
+
+// TestHolderReadWaitsForOwnReplica covers a new token holder that reads its
+// file while the pull of its own replica is still running. The holder's
+// replica is the primary while the file is unstable (§3.4), so the read
+// must wait for it — casting no §3.6 inquiry or forced stability — and
+// return the written bytes once the pull lands.
+func TestHolderReadWaitsForOwnReplica(t *testing.T) {
+	c := newTestCluster(t, 3)
+	ctx := ctxT(t, 20*time.Second)
+	srv0, srv2 := c.nodes[0].srv, c.nodes[2].srv
+	major := uint64(version.InitialMajor)
+	id, err := srv0.Create(ctx, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv0.Write(ctx, id, WriteReq{Data: []byte("payload")}); err != nil {
+		t.Fatal(err)
+	}
+	waitStable(t, srv0, id)
+	if _, err := srv2.Stat(ctx, id); err != nil { // srv2 joins without a replica
+		t.Fatal(err)
+	}
+	sg0, sg2 := srv0.tab.get(id), srv2.tab.get(id)
+
+	// Pause the pull: srv0, the only replica and so the source, answers
+	// fetches from a stand-in whose copy is at a pair the group never
+	// reaches, so the target retries until the real segment is back.
+	standIn := newSegment(srv0, id)
+	standIn.local[major] = &localReplica{pair: version.Pair{Major: major, Sub: 1 << 40}}
+	srv0.tab.put(id, standIn)
+	resume := func() { srv0.tab.put(id, sg0) }
+	defer resume()
+
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := srv2.WriteBatch(ctx, id, []WriteReq{
+			{Off: 0, Data: []byte("P")},
+			{Off: 7, Data: []byte("!")},
+		})
+		wrote <- err
+	}()
+	pctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	if !sg2.await(pctx, func() bool {
+		ms := sg2.majors[major]
+		return ms.holder == srv2.ID() && ms.transferring
+	}) {
+		t.Fatal("srv2 never took the token and began its own transfer")
+	}
+
+	type result struct {
+		data []byte
+		err  error
+	}
+	read := make(chan result, 1)
+	go func() {
+		data, _, err := srv2.Read(ctx, id, 0, 0, -1)
+		read <- result{data, err}
+	}()
+	select {
+	case r := <-read:
+		t.Fatalf("read returned %q, %v while the holder's replica was still being pulled", r.data, r.err)
+	case <-time.After(20 * c.copts.RetryDelay):
+	}
+	resume()
+	select {
+	case r := <-read:
+		if r.err != nil || string(r.data) != "Payload!" {
+			t.Fatalf("holder's read = %q, %v; want %q", r.data, r.err, "Payload!")
+		}
+	case <-time.After(2 * c.copts.OpTimeout):
+		t.Fatal("holder's read still blocked after its replica's pull resumed")
+	}
+	if err := <-wrote; err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	for i, nd := range c.nodes {
+		if n := nd.srv.ReadStats().Failovers; n != 0 {
+			t.Errorf("srv%d took the holder-failure path %d times", i, n)
+		}
+	}
+}
+
+// TestViewChangeEndsOrphanedTransfer covers a holder that crashes right
+// after its opBeginTransfer is delivered. Nothing else will end that
+// transfer by cast, and the version refuses token requests while a transfer
+// runs, so the view change that removes the holder must end it: a write on
+// the majority side then proceeds within a few heartbeats instead of
+// retrying ErrBusy until its deadline.
+func TestViewChangeEndsOrphanedTransfer(t *testing.T) {
+	c := newTestCluster(t, 4)
+	ctx := ctxT(t, 20*time.Second)
+	srv0, srv1 := c.nodes[0].srv, c.nodes[1].srv
+	major := uint64(version.InitialMajor)
+	params := DefaultParams()
+	params.MinReplicas = 3
+	id, err := srv0.Create(ctx, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv0.Write(ctx, id, WriteReq{Data: []byte("payload")}); err != nil {
+		t.Fatal(err)
+	}
+	sg0 := srv0.tab.get(id)
+	waitUntil(t, 5*time.Second, "three replicas", func() bool {
+		sg0.mu.Lock()
+		defer sg0.mu.Unlock()
+		ms := sg0.majors[major]
+		return !ms.transferring && len(ms.replicas) == 3 && !ms.replicas[c.ids[3]]
+	})
+	waitStable(t, srv0, id)
+	if _, err := c.nodes[3].srv.Stat(ctx, id); err != nil { // srv3 joins without a replica
+		t.Fatal(err)
+	}
+
+	// srv0 begins a transfer to srv3, a member, from a source that never
+	// answers, so srv3 keeps pulling; then srv0 crashes.
+	if _, err := srv0.castAll(ctx, sg0, &castMsg{
+		Op: opBeginTransfer, Major: major, Source: "ghost", Target: c.ids[3],
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c.crash(0)
+
+	start := time.Now()
+	wctx, cancel := context.WithTimeout(ctx, 50*c.iopts.HeartbeatInterval)
+	defer cancel()
+	if _, err := srv1.Write(wctx, id, WriteReq{Data: []byte("after")}); err != nil {
+		t.Fatalf("survivor's write after %v: %v", time.Since(start), err)
+	}
+	data, _, err := srv1.Read(ctx, id, 0, 0, -1)
+	if err != nil || string(data) != "afterad" {
+		t.Fatalf("read = %q, %v; want %q", data, err, "afterad")
+	}
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/simnet"
 	"repro/internal/wire"
 )
 
@@ -130,22 +132,39 @@ func TestQuickSegSnapshotRoundTrip(t *testing.T) {
 	f := func(majors uint8, holders []byte, deleted bool) bool {
 		ss := segSnapshot{Params: DefaultParams(), Deleted: deleted}
 		n := int(majors % 8)
+		trailing := 0
 		for i := 0; i < n; i++ {
-			ss.Majors = append(ss.Majors, majorSnap{
-				Major: uint64(i + 1),
-				Size:  int64(i * 100),
-			})
+			ms := majorSnap{Major: uint64(i + 1), Size: int64(i * 100)}
+			if i < len(holders) && holders[i]%2 == 1 {
+				ms.Transferring, ms.TransferTo = true, simnet.NodeID(fmt.Sprintf("srv%d", holders[i]))
+			}
+			trailing += wire.SizeString(string(ms.TransferTo))
+			ss.Majors = append(ss.Majors, ms)
 		}
-		var out segSnapshot
-		if err := wire.Unmarshal(wire.Marshal(&ss), &out); err != nil {
-			return false
-		}
-		if out.Deleted != ss.Deleted || len(out.Majors) != len(ss.Majors) {
-			return false
-		}
-		for i := range out.Majors {
-			if out.Majors[i].Major != ss.Majors[i].Major || out.Majors[i].Size != ss.Majors[i].Size {
+		full := wire.Marshal(&ss)
+		// A snapshot stored before transfer targets were recorded ends
+		// where the trailing targets begin, and still decodes.
+		for _, older := range []bool{false, true} {
+			buf := full
+			if older {
+				buf = full[:len(full)-trailing]
+			}
+			var out segSnapshot
+			if err := wire.Unmarshal(buf, &out); err != nil {
 				return false
+			}
+			if out.Deleted != ss.Deleted || len(out.Majors) != len(ss.Majors) {
+				return false
+			}
+			for i := range out.Majors {
+				o, m := out.Majors[i], ss.Majors[i]
+				want := m.TransferTo
+				if older {
+					want = ""
+				}
+				if o.Major != m.Major || o.Size != m.Size || o.Transferring != m.Transferring || o.TransferTo != want {
+					return false
+				}
 			}
 		}
 		return true

@@ -41,16 +41,6 @@ type Options struct {
 	// OnConflict, if set, is invoked whenever incomparable versions are
 	// detected (the envelope logs them to the well-known conflict file).
 	OnConflict func(Conflict)
-	// Piggyback enables the first §3.3 optimization the paper describes but
-	// leaves unimplemented: "broadcast an update in the same message with a
-	// token request; replica holders execute those updates upon receiving
-	// the corresponding token pass." With it on, a write from a non-holder
-	// costs one communication round instead of two (three when stability
-	// notification would otherwise add its own round: the combined cast also
-	// marks replicas unstable, which is safe because every member processes
-	// the notification and the update atomically in the same total-order
-	// slot).
-	Piggyback bool
 }
 
 func (o *Options) fill() {
@@ -95,6 +85,7 @@ type Server struct {
 		readsLocal     atomic.Uint64
 		readsForwarded atomic.Uint64
 		tokenCasts     atomic.Uint64
+		failovers      atomic.Uint64
 		xferBytesOut   atomic.Uint64
 		xferBytesIn    atomic.Uint64
 		xferUnchanged  atomic.Uint64
@@ -422,13 +413,14 @@ func (s *Server) Lease(ctx context.Context, id SegID) (epoch uint64, valid bool,
 }
 
 // ReadStats returns cumulative counters describing how this server served
-// reads (local replica vs forwarded) and how many read-token grant casts it
-// issued.
+// reads (local replica vs forwarded), how many read-token grant casts it
+// issued and how many reads failed over from the token holder.
 func (s *Server) ReadStats() ReadStats {
 	return ReadStats{
 		Local:      s.stats.readsLocal.Load(),
 		Forwarded:  s.stats.readsForwarded.Load(),
 		TokenCasts: s.stats.tokenCasts.Load(),
+		Failovers:  s.stats.failovers.Load(),
 	}
 }
 
@@ -443,18 +435,15 @@ func (s *Server) TransferStats() TransferStats {
 	}
 }
 
-// Write applies one update (§5.1). It returns the version pair of the
-// segment after the write. With write safety 0 the write is asynchronous and
-// the returned pair is zero. A run of updates to one segment should use
-// WriteBatch, which packs them into one cast.
+// Write applies one update (§5.1) as a one-op WriteBatch: one cast that
+// passes the token, marks the file unstable and applies the update. It
+// returns the version pair of the segment after the write. With write safety
+// 0 the write is asynchronous and the returned pair is zero. A run of
+// updates to one segment should use WriteBatch, which packs them into one
+// cast.
 func (s *Server) Write(ctx context.Context, id SegID, req WriteReq) (version.Pair, error) {
-	var pair version.Pair
-	err := s.retry(ctx, func() error {
-		var err error
-		pair, err = s.writeOnce(ctx, id, req)
-		return err
-	})
-	return pair, err
+	pairs, err := s.WriteBatch(ctx, id, []WriteReq{req})
+	return pairs[0], err
 }
 
 // retry re-runs fn while it reports a retryable condition (IsRetryable),
@@ -828,6 +817,16 @@ func (a *segApp) ViewChange(v isis.View, reason isis.ViewReason) {
 		ms.revokeReadersLocked()
 	}
 	sg.readDenied = false
+	// A transfer whose coordinating holder or whose target left the view
+	// can never end by its own casts: end it here, at every member in the
+	// same view, or its version refuses writes until the holder returns.
+	if reason != isis.ReasonDissolve {
+		for _, ms := range sg.majors {
+			if ms.transferring && !(v.Contains(ms.holder) && v.Contains(ms.transferTo)) {
+				ms.transferring, ms.transferTo = false, ""
+			}
+		}
+	}
 	switch reason {
 	case isis.ReasonDissolve:
 		sg.dissolved = true

@@ -32,6 +32,7 @@ type majorState struct {
 	size         int64
 	unstable     bool
 	transferring bool
+	transferTo   simnet.NodeID // target of the running transfer
 	replicas     map[simnet.NodeID]bool
 	order        []simnet.NodeID        // replica addition order, for LRU deletion
 	readers      map[simnet.NodeID]bool // shared read-token holders
@@ -283,12 +284,8 @@ func (sg *segment) applyLocked(from simnet.NodeID, m *castMsg) *castReply {
 	switch m.Op {
 	case opUpdate:
 		return sg.applyUpdate(from, m)
-	case opMarkUnstable:
-		return sg.applyMarkUnstable(from, m)
 	case opMarkStable:
 		return sg.applyMarkStable(from, m)
-	case opTokenRequest:
-		return sg.applyTokenRequest(from, m)
 	case opRequestReplica:
 		return sg.applyRequestReplica(from, m)
 	case opBeginTransfer:
@@ -439,30 +436,6 @@ func applyData(data []byte, off int64, payload []byte, truncate bool) []byte {
 	return data
 }
 
-func (sg *segment) applyMarkUnstable(from simnet.NodeID, m *castMsg) *castReply {
-	ms := sg.majors[m.Major]
-	if ms == nil {
-		return replyFail(derr.CodeGone, "no such version")
-	}
-	if from != ms.holder {
-		return replyFail(derr.CodeBusy, "not holder")
-	}
-	ms.unstable = true
-	// The start of a write stream revokes all read tokens; this cast is
-	// collected from every available member (isis.All) before the first
-	// update, so the revocation is acknowledged by every reader it reached.
-	hadReaders := ms.revokeReadersLocked()
-	sg.epoch++
-	if rep := sg.local[m.Major]; rep != nil {
-		rep.stable = false
-		sg.srv.persistReplica(sg, m.Major, rep)
-		sg.srv.persistMeta(sg)
-		return &castReply{OK: true, IsReplica: true, Pair: ms.pair, HadReaders: hadReaders}
-	}
-	sg.srv.persistMeta(sg)
-	return &castReply{OK: true, Pair: ms.pair, HadReaders: hadReaders}
-}
-
 func (sg *segment) applyMarkStable(from simnet.NodeID, m *castMsg) *castReply {
 	ms := sg.majors[m.Major]
 	if ms == nil {
@@ -511,6 +484,10 @@ func (sg *segment) applyForceStable(from simnet.NodeID, m *castMsg) *castReply {
 	return &castReply{OK: true, Pair: ms.pair}
 }
 
+// applyTokenRequest is the token phase of applyTokenUpdate (§3.3, §3.5): a
+// held token is granted trivially, a reachable holder's is passed, and an
+// unreachable holder's is regenerated under a new major if the write
+// availability level allows.
 func (sg *segment) applyTokenRequest(from simnet.NodeID, m *castMsg) *castReply {
 	ms := sg.majors[m.Major]
 	if ms == nil {
@@ -591,13 +568,23 @@ func (sg *segment) applyTokenRequest(from simnet.NodeID, m *castMsg) *castReply 
 	return &castReply{OK: true, Outcome: tokGrantedNew, Major: newMajor, Pair: nms.pair}
 }
 
-// applyTokenUpdate implements the first §3.3 optimization: a token request
-// carrying the update it was acquired for. The token phase, the stability
-// notification, and the update all execute in this cast's single total-order
-// slot, so no member can observe the update without having processed the
-// token pass and the unstable mark first — the correctness condition the
-// paper's two- and three-round sequences establish with separate casts.
+// applyTokenUpdate is every write's first op, the first §3.3 optimization:
+// a token request carrying the update it was acquired for. The token phase,
+// the stability notification, and the update all execute in this cast's
+// single total-order slot, so no member can observe the update without
+// having processed the token pass and the unstable mark first — the
+// correctness condition the paper's two- and three-round sequences establish
+// with separate casts.
+//
+// A conditional update from a non-holder whose expectation already fails is
+// refused before the token phase: the token stays put and nothing is marked
+// unstable, so losing an optimistic race costs the holder nothing. ms.pair
+// is group-agreed and a mismatch is permanent, so every member refuses alike
+// and refusing ahead of a busy token is never wrong.
 func (sg *segment) applyTokenUpdate(from simnet.NodeID, m *castMsg) *castReply {
+	if ms := sg.majors[m.Major]; ms != nil && ms.holder != from && !m.Expect.IsZero() && ms.pair != m.Expect {
+		return &castReply{Code: uint16(derr.CodeVersionConflict), Err: "conflict", Pair: ms.pair}
+	}
 	tr := sg.applyTokenRequest(from, m)
 	if !tr.OK {
 		return tr
@@ -684,6 +671,7 @@ func (sg *segment) applyBeginTransfer(from simnet.NodeID, m *castMsg) *castReply
 		return replyFail(derr.CodeBusy, "busy")
 	}
 	ms.transferring = true
+	ms.transferTo = m.Target
 	// The target pulls the data outside the group (blast transfer) and then
 	// casts opReplicaReady.
 	if m.Target == sg.srv.id {
@@ -697,7 +685,7 @@ func (sg *segment) applyReplicaReady(from simnet.NodeID, m *castMsg) *castReply 
 	if ms == nil {
 		return replyFail(derr.CodeGone, "no such version")
 	}
-	ms.transferring = false
+	ms.transferring, ms.transferTo = false, ""
 	if m.Pair == ms.pair {
 		ms.addReplica(from)
 	}
@@ -707,7 +695,7 @@ func (sg *segment) applyReplicaReady(from simnet.NodeID, m *castMsg) *castReply 
 
 func (sg *segment) applyAbortTransfer(from simnet.NodeID, m *castMsg) *castReply {
 	if ms := sg.majors[m.Major]; ms != nil {
-		ms.transferring = false
+		ms.transferring, ms.transferTo = false, ""
 	}
 	return &castReply{OK: true}
 }
@@ -826,6 +814,7 @@ func (sg *segment) snapshotLocked() *segSnapshot {
 			Size:         ms.size,
 			Unstable:     ms.unstable,
 			Transferring: ms.transferring,
+			TransferTo:   ms.transferTo,
 			Replicas:     ms.replicaList(),
 		})
 	}
@@ -850,6 +839,7 @@ func (sg *segment) installSnapshotLocked(ss *segSnapshot) {
 		ms.size = im.Size
 		ms.unstable = im.Unstable
 		ms.transferring = im.Transferring
+		ms.transferTo = im.TransferTo
 		for _, r := range im.Replicas {
 			ms.addReplica(r)
 		}

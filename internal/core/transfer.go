@@ -34,7 +34,8 @@ func (m *directMsg) failed() bool { return m.Code != 0 || m.Err != "" }
 // runTransfer is executed by the token holder to create a replica of major
 // on target, reporting whether the replica landed. It is idempotent and
 // gives up on transient failures. A new holder without a replica runs it for
-// itself (writeOnce); other servers ask the holder with opRequestReplica.
+// itself (writeBatchOnce, awaitOwnReplica); other servers ask the holder
+// with opRequestReplica.
 // Each wait wakes on the delivery that decides it (segment.await).
 func (s *Server) runTransfer(ctx context.Context, sg *segment, major uint64, target simnet.NodeID) bool {
 	sg.mu.Lock()

@@ -8,94 +8,75 @@ import (
 	"repro/internal/version"
 )
 
-// This file implements batched writes: a run of updates to one segment
-// packed into a single totally ordered cast. The first op of every batch is
-// an opTokenUpdate — the paper's §3.3 piggyback cast, which passes (or
-// trivially grants) the token, marks replicas unstable, and applies the
-// first update in one total-order slot — and every following op is a plain
-// opUpdate riding the same slot, so a run of N same-holder updates costs one
-// communication round instead of N.
-//
-// Two callers feed it: Server.WriteBatch, the explicit multi-op call the NFS
-// envelope uses for multi-block writes and header+payload bursts, and
-// writeOnce under Options.Piggyback, which sends a single write as a
-// one-op batch.
+// This file implements the one write path. Every write — a single Write is
+// a one-op batch — is a run of updates to one segment packed into a single
+// totally ordered cast. Its first op is an opTokenUpdate — the paper's §3.3
+// piggyback cast, which passes (or trivially grants) the token, marks
+// replicas unstable, and applies the first update in one total-order slot —
+// and every following op is a plain opUpdate riding the same slot, so a run
+// of N updates costs one communication round instead of N, and a write from
+// a server without the token costs one round instead of Table 1's three.
 
 // batchMax bounds the number of updates packed into one batched cast.
 const batchMax = 64
 
-// WriteBatch applies a run of updates to one segment, packing them into a
-// single total-order cast whenever possible. It returns the post-write
-// version pair of each update, in order. The ops are applied independently
-// and in order at every member: an op that fails (e.g. an Expect conflict)
-// does not stop later ops in the batch, exactly as a sequential loop that
-// retried the failed op last would behave. The first definitive per-op error
-// is returned alongside the pairs collected so far.
+// WriteBatch applies a run of updates to one segment, packing each run of
+// up to batchMax updates to the same version stream into a single
+// total-order cast. It returns the post-write version pair of each update,
+// in order. The ops are applied independently and in order at every member:
+// an op that fails (e.g. an Expect conflict) does not stop later ops in the
+// batch, exactly as a sequential loop that retried the failed op last would
+// behave. The first definitive per-op error is returned alongside the pairs
+// collected so far.
 func (s *Server) WriteBatch(ctx context.Context, id SegID, reqs []WriteReq) ([]version.Pair, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	if len(reqs) == 1 {
-		pair, err := s.Write(ctx, id, reqs[0])
-		return []version.Pair{pair}, err
-	}
-	// The batch cast targets one version stream: mixed explicit majors fall
-	// back to the sequential path.
-	for _, r := range reqs {
-		if r.Major != reqs[0].Major {
-			return s.writeSeq(ctx, id, reqs)
-		}
-	}
-
 	pairs := make([]version.Pair, len(reqs))
 	for first := 0; first < len(reqs); {
-		chunk := reqs[first:]
-		if len(chunk) > batchMax {
-			chunk = chunk[:batchMax]
+		// One cast targets one version stream: a change of explicit major
+		// starts the next cast.
+		n := 1
+		for n < len(reqs)-first && n < batchMax && reqs[first+n].Major == reqs[first].Major {
+			n++
 		}
-		var ps []version.Pair
-		var errs []error
-		err := s.retry(ctx, func() error {
-			var err error
-			ps, errs, err = s.writeBatchAttempt(ctx, id, chunk)
-			return err
-		})
+		chunk := reqs[first : first+n]
+		ps, errs, err := s.writeRetry(ctx, id, chunk)
 		if err != nil {
 			return pairs, err
 		}
 		for i := range chunk {
-			if errs[i] == nil {
-				pairs[first+i] = ps[i]
-				continue
+			if IsRetryable(errs[i]) {
+				// A retryable per-op failure (e.g. a follower whose token op
+				// was refused): redo just that op as a batch of its own.
+				p, e, err := s.writeRetry(ctx, id, chunk[i:i+1])
+				if err != nil {
+					return pairs, err
+				}
+				ps[i], errs[i] = p[0], e[0]
 			}
-			if !IsRetryable(errs[i]) {
+		}
+		for i := range chunk {
+			if errs[i] != nil {
 				return pairs, errs[i]
 			}
-			// A retryable per-op failure (e.g. the token op lost a race):
-			// redo just that op through the ordinary write path.
-			p, werr := s.Write(ctx, id, chunk[i])
-			if werr != nil {
-				return pairs, werr
-			}
-			pairs[first+i] = p
+			pairs[first+i] = ps[i]
 		}
-		first += len(chunk)
+		first += n
 	}
 	return pairs, nil
 }
 
-// writeSeq is the sequential fallback for batches the combined cast cannot
-// express.
-func (s *Server) writeSeq(ctx context.Context, id SegID, reqs []WriteReq) ([]version.Pair, error) {
-	pairs := make([]version.Pair, len(reqs))
-	for i, r := range reqs {
-		p, err := s.Write(ctx, id, r)
-		if err != nil {
-			return pairs, err
+// writeRetry runs writeBatchAttempt until its outcome is not retryable. A
+// one-op batch has nothing to redo separately, so its op's retryable
+// failure retries the whole attempt.
+func (s *Server) writeRetry(ctx context.Context, id SegID, reqs []WriteReq) (ps []version.Pair, errs []error, err error) {
+	err = s.retry(ctx, func() error {
+		var err error
+		ps, errs, err = s.writeBatchAttempt(ctx, id, reqs)
+		if err == nil && len(reqs) == 1 && IsRetryable(errs[0]) {
+			return errs[0]
 		}
-		pairs[i] = p
-	}
-	return pairs, nil
+		return err
+	})
+	return ps, errs, err
 }
 
 // writeBatchAttempt opens the segment and runs one batched cast. The
@@ -132,10 +113,12 @@ func (s *Server) writeBatchAttempt(ctx context.Context, id SegID, reqs []WriteRe
 	return s.writeBatchOnce(ctx, sg, major, reqs, params)
 }
 
-// writeBatchOnce performs one batched piggyback cast: op 0 is the combined
-// token-request-plus-update (§3.3 optimization 1), ops 1..n-1 are plain
-// updates resolved against whichever major the token op granted (see
-// segment.resolveUpdateMajor). All ops share one total-order slot.
+// writeBatchOnce performs one batched cast: op 0 is the combined token
+// request, unstable mark and update (§3.3 optimization 1), ops 1..n-1 are
+// plain updates resolved against whichever major the token op granted (see
+// segment.resolveUpdateMajor). All ops share one total-order slot. Then
+// come Table 1's postconditions: the write-safety number of replica replies
+// (§4), the return to stability (§3.4) and replica maintenance (§3.1).
 func (s *Server) writeBatchOnce(ctx context.Context, sg *segment, major uint64, reqs []WriteReq, params Params) ([]version.Pair, []error, error) {
 	sg.mu.Lock()
 	grp := sg.group
@@ -182,25 +165,44 @@ func (s *Server) writeBatchOnce(ctx context.Context, sg *segment, major uint64, 
 	if decErr != nil {
 		return nil, nil, ErrBusy
 	}
+	pairs := make([]version.Pair, len(reqs))
+	errs := make([]error, len(reqs))
 	switch first.Outcome {
 	case tokUnavailable:
 		return nil, nil, ErrWriteUnavailable
 	case tokBusy:
 		return nil, nil, ErrBusy
+	case 0:
+		// Refused ahead of the token phase (a lost Expect race, a missing
+		// version): the token did not move, so every follower was refused
+		// as an update from a non-holder and is redone on its own.
+		errs[0] = replyErr(first)
+		for i := 1; i < len(reqs); i++ {
+			errs[i] = ErrBusy
+		}
+		return pairs, errs, nil
 	}
 	granted := first.Major
-	if granted == 0 {
-		granted = major
-	}
 
-	// We are the holder now; while the file is unstable, reads forward to
-	// us, so grow a local replica in the background rather than spending a
-	// synchronous round on it (readers retry until it lands).
 	sg.mu.Lock()
 	_, haveReplica := sg.local[granted]
 	sg.mu.Unlock()
+	if params.Stability || !haveReplica {
+		// The cast carried the token pass: every available member, this one
+		// included, must have applied it before we act as the new holder.
+		// Readers forward to the holder in their own state, so a deposed
+		// holder that had not applied the pass could briefly serve stale
+		// reads; and a transfer is run by the holder in its own state.
+		actx, acancel := context.WithTimeout(ctx, s.opts.OpTimeout)
+		_, _ = bc.Op(0).Wait(actx, isis.All)
+		acancel()
+	}
 	if !haveReplica {
-		go s.runTransfer(context.Background(), sg, granted, s.id)
+		// While the file is unstable, reads forward to us, so pull a local
+		// replica before returning (§3.4). The update already applied at
+		// the replicas in its slot, so a failed pull does not fail the
+		// write: our reads wait for the next one.
+		s.runTransfer(ctx, sg, granted, s.id)
 	}
 
 	defer func() {
@@ -210,19 +212,8 @@ func (s *Server) writeBatchOnce(ctx context.Context, sg *segment, major uint64, 
 		s.scheduleStability(sg, granted)
 	}()
 
-	if params.Stability {
-		// The cast carried the token pass: every available member must have
-		// applied it before we act as the new holder, or a deposed holder
-		// could briefly serve stale reads (see acquireToken).
-		actx, acancel := context.WithTimeout(ctx, s.opts.OpTimeout)
-		_, _ = bc.Op(0).Wait(actx, isis.All)
-		acancel()
-	}
-
 	safety := s.effectiveSafety(sg, granted, params)
 	mustFrom := s.stabilityAckNode(params)
-	pairs := make([]version.Pair, len(reqs))
-	errs := make([]error, len(reqs))
 	if first.failed() {
 		errs[0] = replyErr(first)
 	} else if safety > 0 {
@@ -244,7 +235,7 @@ func (s *Server) writeBatchOnce(ctx context.Context, sg *segment, major uint64, 
 	} else if errs[0] == nil {
 		// Op 0 is the batch's first update in the slot, so it is the one
 		// whose reply reports revoked read tokens; collect the revocation
-		// acks before the batch returns (same barrier as Write).
+		// acks before the batch returns.
 		s.waitRevocations(ctx, bc.Op(0))
 	}
 	return pairs, errs, nil
