@@ -27,7 +27,7 @@ race:
 # change ends a transfer orphaned by its holder.
 stress:
 	$(GO) test -count=100 -run 'TestConcurrentMultiWriter$$|TestTransferInstallsOnlyFrozenPair|TestUpdateDropsStaleReplica' ./internal/core
-	$(GO) test -count=10 -run 'TestPiggyback|TestColdWriteIsOneCast$$|TestHolderReadWaitsForOwnReplica$$|TestViewChangeEndsOrphanedTransfer$$' ./internal/core
+	$(GO) test -count=10 -run 'TestPiggyback|TestColdWriteIsOneCast$$|TestHolderReadWaitsForOwnReplica$$|TestViewChangeEndsOrphanedTransfer$$|TestHolderStreamWriteWaitsOnlyForSafety$$' ./internal/core
 
 bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkT1|BenchmarkAblation|BenchmarkContention|BenchmarkHotReadLocal' -benchtime=1x .

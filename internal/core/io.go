@@ -17,7 +17,6 @@ type ReadStats struct {
 	Local      uint64 // served from this server's replica, zero communication
 	Forwarded  uint64 // forwarded to another server (Figure 2 / §3.4)
 	TokenCasts uint64 // opReadToken grant casts issued
-	Failovers  uint64 // unstable reads that took the §3.6 holder-failure path
 }
 
 // TransferStats counts replica-data movement on the direct channel; the A8
@@ -251,7 +250,6 @@ func sliceReplica(rep *localReplica, off, n int64) ([]byte, version.Pair) {
 // to find a stable replica; if none exists it forces the most up-to-date
 // replica stable and destroys obsolete ones.
 func (s *Server) readAfterHolderFailure(ctx context.Context, sg *segment, major uint64, off, n int64) ([]byte, version.Pair, error) {
-	s.stats.failovers.Add(1)
 	sg.mu.Lock()
 	grp := sg.group
 	sg.mu.Unlock()

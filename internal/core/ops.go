@@ -47,6 +47,7 @@ const (
 	tokGrantedNew                   // holder unreachable; new major generated
 	tokUnavailable                  // availability level forbids regeneration
 	tokBusy                         // transfer in progress; retry
+	tokHeld                         // already held in an unstable stream: the slot moved no token and marked nothing
 )
 
 // castMsg is the single encoding for all group cast payloads.

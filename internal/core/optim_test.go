@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -247,5 +249,61 @@ func TestPiggybackStreamThenStabilityReturns(t *testing.T) {
 	}
 	if string(data) != want {
 		t.Errorf("data = %q, want %q", data, want)
+	}
+}
+
+// TestHolderStreamWriteWaitsOnlyForSafety covers a write from the holder of
+// an unstable stream. Its slot moves no token and marks nothing, so it waits
+// only for its write safety level's replies (§3.3, §4): at safety 1 it
+// returns while another member's delivery is paused, and at safety 0 it
+// returns before any reply could have arrived.
+func TestHolderStreamWriteWaitsOnlyForSafety(t *testing.T) {
+	iopts := testISISOpts()
+	iopts.SuspectTimeout = 10 * time.Second // the paused member stays in the view
+	copts := testCoreOpts()
+	copts.StabilityDelay = time.Minute // the stream stays unstable
+	c := newTestClusterFull(t, 2, iopts, copts)
+	ctx := ctxT(t, 20*time.Second)
+	a, b := c.nodes[0].srv, c.nodes[1].srv
+	const latency = 100 * time.Millisecond // one way: any reply takes twice that
+
+	for safety, bound := range []time.Duration{latency, 2*latency + 300*time.Millisecond} {
+		t.Run(fmt.Sprintf("safety %d", safety), func(t *testing.T) {
+			c.net.SetLatency(0, 0)
+			params := DefaultParams()
+			params.WriteSafety = safety
+			// b creates the file, so b sequences its casts: a's own delivery
+			// is a round trip away.
+			id, err := b.Create(ctx, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// a's first write takes the token and marks the file unstable.
+			if _, err := a.Write(ctx, id, WriteReq{Data: []byte("first")}); err != nil {
+				t.Fatal(err)
+			}
+			waitUntil(t, 5*time.Second, "b sees a's stream", func() bool {
+				info, err := b.Stat(ctx, id)
+				return err == nil && info.Versions[0].Unstable && info.Versions[0].Holder == a.ID()
+			})
+
+			c.net.SetLatency(latency, 0)
+			sgb := b.tab.get(id)
+			sgb.mu.Lock() // pause b's deliveries for this file
+			start := time.Now()
+			wctx, cancel := context.WithTimeout(ctx, 3*bound)
+			_, err = a.Write(wctx, id, WriteReq{Data: []byte("next")})
+			cancel()
+			took := time.Since(start)
+			sgb.mu.Unlock()
+			if err != nil || took > bound {
+				t.Fatalf("holder's write took %v (%v) with b paused, want under %v", took, err, bound)
+			}
+			c.net.SetLatency(0, 0)
+			waitUntil(t, 5*time.Second, "the write lands", func() bool {
+				data, _, err := b.Read(ctx, id, 0, 0, -1)
+				return err == nil && string(data) == "nextt"
+			})
+		})
 	}
 }

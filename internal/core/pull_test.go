@@ -308,10 +308,14 @@ func TestNewHolderDoesNotWaitOutDeadline(t *testing.T) {
 // TestHolderReadWaitsForOwnReplica covers a new token holder that reads its
 // file while the pull of its own replica is still running. The holder's
 // replica is the primary while the file is unstable (§3.4), so the read
-// must wait for it — casting no §3.6 inquiry or forced stability — and
-// return the written bytes once the pull lands.
+// must wait for it and return the written bytes once the pull lands. It
+// must not fail over while it waits: a §3.6 forced stability or an aborted
+// transfer would be a commit at every member, so no member commits anything
+// until the pull resumes.
 func TestHolderReadWaitsForOwnReplica(t *testing.T) {
-	c := newTestCluster(t, 3)
+	copts := testCoreOpts()
+	copts.StabilityDelay = time.Minute // no return to stability in the counts
+	c, logs := newLogCluster(t, 3, copts)
 	ctx := ctxT(t, 20*time.Second)
 	srv0, srv2 := c.nodes[0].srv, c.nodes[2].srv
 	major := uint64(version.InitialMajor)
@@ -322,9 +326,10 @@ func TestHolderReadWaitsForOwnReplica(t *testing.T) {
 	if _, err := srv0.Write(ctx, id, WriteReq{Data: []byte("payload")}); err != nil {
 		t.Fatal(err)
 	}
-	waitStable(t, srv0, id)
-	if _, err := srv2.Stat(ctx, id); err != nil { // srv2 joins without a replica
-		t.Fatal(err)
+	for _, nd := range c.nodes[1:] { // srv1 and srv2 join without a replica
+		if _, err := nd.srv.Stat(ctx, id); err != nil {
+			t.Fatal(err)
+		}
 	}
 	sg0, sg2 := srv0.tab.get(id), srv2.tab.get(id)
 
@@ -353,6 +358,23 @@ func TestHolderReadWaitsForOwnReplica(t *testing.T) {
 	}) {
 		t.Fatal("srv2 never took the token and began its own transfer")
 	}
+	// Every member has delivered the transfer's begin before it commits.
+	waitUntil(t, 5*time.Second, "opBeginTransfer delivered everywhere", func() bool {
+		for _, nd := range c.nodes {
+			sg := nd.srv.tab.get(id)
+			if nd.srv == srv0 {
+				sg = sg0
+			}
+			sg.mu.Lock()
+			running := sg.majors[major].transferring
+			sg.mu.Unlock()
+			if !running {
+				return false
+			}
+		}
+		return true
+	})
+	before := syncs(logs)
 
 	type result struct {
 		data []byte
@@ -368,6 +390,11 @@ func TestHolderReadWaitsForOwnReplica(t *testing.T) {
 		t.Fatalf("read returned %q, %v while the holder's replica was still being pulled", r.data, r.err)
 	case <-time.After(20 * c.copts.RetryDelay):
 	}
+	for i, n := range syncs(logs) {
+		if got := n - before[i]; got != 0 {
+			t.Errorf("srv%d committed %d times while the holder's read waited, want 0", i, got)
+		}
+	}
 	resume()
 	select {
 	case r := <-read:
@@ -380,11 +407,6 @@ func TestHolderReadWaitsForOwnReplica(t *testing.T) {
 	if err := <-wrote; err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	for i, nd := range c.nodes {
-		if n := nd.srv.ReadStats().Failovers; n != 0 {
-			t.Errorf("srv%d took the holder-failure path %d times", i, n)
-		}
-	}
 }
 
 // TestViewChangeEndsOrphanedTransfer covers a holder that crashes right
@@ -392,9 +414,12 @@ func TestHolderReadWaitsForOwnReplica(t *testing.T) {
 // transfer by cast, and the version refuses token requests while a transfer
 // runs, so the view change that removes the holder must end it: a write on
 // the majority side then proceeds within a few heartbeats instead of
-// retrying ErrBusy until its deadline.
+// retrying ErrBusy until its deadline. The transfer's target is blanked at
+// every member, as a snapshot that predates the field restores it; a view
+// change that removes neither the holder nor a known target, here a
+// member's crash, must leave the transfer running.
 func TestViewChangeEndsOrphanedTransfer(t *testing.T) {
-	c := newTestCluster(t, 4)
+	c := newTestCluster(t, 5)
 	ctx := ctxT(t, 20*time.Second)
 	srv0, srv1 := c.nodes[0].srv, c.nodes[1].srv
 	major := uint64(version.InitialMajor)
@@ -412,22 +437,51 @@ func TestViewChangeEndsOrphanedTransfer(t *testing.T) {
 		sg0.mu.Lock()
 		defer sg0.mu.Unlock()
 		ms := sg0.majors[major]
-		return !ms.transferring && len(ms.replicas) == 3 && !ms.replicas[c.ids[3]]
+		return !ms.transferring && len(ms.replicas) == 3 && !ms.replicas[c.ids[3]] && !ms.replicas[c.ids[4]]
 	})
 	waitStable(t, srv0, id)
-	if _, err := c.nodes[3].srv.Stat(ctx, id); err != nil { // srv3 joins without a replica
-		t.Fatal(err)
+	for _, nd := range c.nodes[3:] { // srv3 and srv4 join without a replica
+		if _, err := nd.srv.Stat(ctx, id); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// srv0 begins a transfer to srv3, a member, from a source that never
-	// answers, so srv3 keeps pulling; then srv0 crashes.
+	// answers, so srv3 keeps pulling.
 	if _, err := srv0.castAll(ctx, sg0, &castMsg{
 		Op: opBeginTransfer, Major: major, Source: "ghost", Target: c.ids[3],
 	}); err != nil {
 		t.Fatal(err)
 	}
-	c.crash(0)
+	members := []*segment{sg0, srv1.tab.get(id), c.nodes[2].srv.tab.get(id)}
+	for _, sg := range members {
+		sg.mu.Lock()
+		sg.majors[major].transferTo = ""
+		sg.mu.Unlock()
+	}
+	c.crash(4)
+	waitUntil(t, 5*time.Second, "srv4 out of every view", func() bool {
+		for _, sg := range members {
+			sg.mu.Lock()
+			in := sg.view.Contains(c.ids[4])
+			sg.mu.Unlock()
+			if in {
+				return false
+			}
+		}
+		return true
+	})
+	for i, sg := range members {
+		sg.mu.Lock()
+		running := sg.majors[major].transferring
+		sg.mu.Unlock()
+		if !running {
+			t.Fatalf("srv%d: a view change that kept the holder ended its transfer", i)
+		}
+	}
 
+	// Then the holder crashes.
+	c.crash(0)
 	start := time.Now()
 	wctx, cancel := context.WithTimeout(ctx, 50*c.iopts.HeartbeatInterval)
 	defer cancel()

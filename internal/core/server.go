@@ -85,7 +85,6 @@ type Server struct {
 		readsLocal     atomic.Uint64
 		readsForwarded atomic.Uint64
 		tokenCasts     atomic.Uint64
-		failovers      atomic.Uint64
 		xferBytesOut   atomic.Uint64
 		xferBytesIn    atomic.Uint64
 		xferUnchanged  atomic.Uint64
@@ -413,14 +412,13 @@ func (s *Server) Lease(ctx context.Context, id SegID) (epoch uint64, valid bool,
 }
 
 // ReadStats returns cumulative counters describing how this server served
-// reads (local replica vs forwarded), how many read-token grant casts it
-// issued and how many reads failed over from the token holder.
+// reads (local replica vs forwarded) and how many read-token grant casts it
+// issued.
 func (s *Server) ReadStats() ReadStats {
 	return ReadStats{
 		Local:      s.stats.readsLocal.Load(),
 		Forwarded:  s.stats.readsForwarded.Load(),
 		TokenCasts: s.stats.tokenCasts.Load(),
-		Failovers:  s.stats.failovers.Load(),
 	}
 }
 
@@ -479,6 +477,45 @@ func (s *Server) castOne(ctx context.Context, sg *segment, m *castMsg) (*castRep
 // have applied the cast before the caller proceeds (token passes).
 func (s *Server) castAll(ctx context.Context, sg *segment, m *castMsg) (*castReply, error) {
 	return s.castK(ctx, sg, m, isis.All)
+}
+
+// castSelf casts m and returns this member's own reply, which it has once
+// it applied m: for a caller that goes on to act in its own state, when
+// another member's reply may arrive first.
+func (s *Server) castSelf(ctx context.Context, sg *segment, m *castMsg) (*castReply, error) {
+	sg.mu.Lock()
+	grp := sg.group
+	sg.mu.Unlock()
+	if grp == nil {
+		return nil, ErrBusy
+	}
+	call, err := grp.CastCall(encodeCast(m))
+	if err != nil {
+		return nil, ErrBusy
+	}
+	cctx, cancel := context.WithTimeout(ctx, s.opts.OpTimeout)
+	defer cancel()
+	want := 1
+	for {
+		replies, err := call.Wait(cctx, want)
+		for _, rep := range replies {
+			if rep.From != s.id {
+				continue
+			}
+			r, err := decodeReply(rep.Data)
+			if err != nil {
+				return nil, err
+			}
+			if r.failed() {
+				return r, replyErr(r)
+			}
+			return r, nil
+		}
+		if err != nil || len(replies) < want {
+			return nil, ErrBusy // gone, or out of time, before applying m
+		}
+		want = len(replies) + 1
+	}
 }
 
 func (s *Server) castK(ctx context.Context, sg *segment, m *castMsg, k int) (*castReply, error) {
@@ -819,10 +856,12 @@ func (a *segApp) ViewChange(v isis.View, reason isis.ViewReason) {
 	sg.readDenied = false
 	// A transfer whose coordinating holder or whose target left the view
 	// can never end by its own casts: end it here, at every member in the
-	// same view, or its version refuses writes until the holder returns.
+	// same view, or its version refuses writes until the holder returns. A
+	// transfer restored from a snapshot that predates the target field has
+	// no known target, so only its holder's departure ends it.
 	if reason != isis.ReasonDissolve {
 		for _, ms := range sg.majors {
-			if ms.transferring && !(v.Contains(ms.holder) && v.Contains(ms.transferTo)) {
+			if ms.transferring && (!v.Contains(ms.holder) || ms.transferTo != "" && !v.Contains(ms.transferTo)) {
 				ms.transferring, ms.transferTo = false, ""
 			}
 		}

@@ -581,9 +581,17 @@ func (sg *segment) applyTokenRequest(from simnet.NodeID, m *castMsg) *castReply 
 // unstable, so losing an optimistic race costs the holder nothing. ms.pair
 // is group-agreed and a mismatch is permanent, so every member refuses alike
 // and refusing ahead of a busy token is never wrong.
+//
+// A slot that neither moves the token nor begins an unstable stream answers
+// tokHeld: only the update changed, so its writer needs no reply beyond
+// its write safety level (§3.3: one round per update while the token is held).
 func (sg *segment) applyTokenUpdate(from simnet.NodeID, m *castMsg) *castReply {
-	if ms := sg.majors[m.Major]; ms != nil && ms.holder != from && !m.Expect.IsZero() && ms.pair != m.Expect {
-		return &castReply{Code: uint16(derr.CodeVersionConflict), Err: "conflict", Pair: ms.pair}
+	held := false
+	if ms := sg.majors[m.Major]; ms != nil {
+		if ms.holder != from && !m.Expect.IsZero() && ms.pair != m.Expect {
+			return &castReply{Code: uint16(derr.CodeVersionConflict), Err: "conflict", Pair: ms.pair}
+		}
+		held = ms.holder == from
 	}
 	tr := sg.applyTokenRequest(from, m)
 	if !tr.OK {
@@ -595,6 +603,7 @@ func (sg *segment) applyTokenUpdate(from simnet.NodeID, m *castMsg) *castReply {
 		return replyFail(derr.CodeGone, "no such version")
 	}
 	if sg.params.Stability && !ms.unstable {
+		held = false
 		ms.unstable = true
 		if rep := sg.local[major]; rep != nil {
 			rep.stable = false
@@ -606,6 +615,9 @@ func (sg *segment) applyTokenUpdate(from simnet.NodeID, m *castMsg) *castReply {
 	um.NewMajor = 0 // already resolved; the update must not re-resolve
 	ur := sg.applyUpdate(from, &um)
 	ur.Outcome = tr.Outcome
+	if held {
+		ur.Outcome = tokHeld
+	}
 	ur.Major = major
 	return ur
 }

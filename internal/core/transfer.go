@@ -83,7 +83,7 @@ func (s *Server) runTransfer(ctx context.Context, sg *segment, major uint64, tar
 		}
 	}
 
-	if _, err := s.castOne(octx, sg, &castMsg{
+	if _, err := s.castSelf(octx, sg, &castMsg{
 		Op: opBeginTransfer, Major: major, Source: source, Target: target,
 	}); err != nil {
 		return false
@@ -91,7 +91,8 @@ func (s *Server) runTransfer(ctx context.Context, sg *segment, major uint64, tar
 
 	// The target pulls the data and casts opReplicaReady (or
 	// opAbortTransfer); wait for the delivery that clears the transfer
-	// flag, aborting when the budget runs out so updates can resume.
+	// flag, aborting when the budget runs out so updates can resume. Our
+	// own state has the transfer running, so the flag is ours to watch.
 	wctx, cancel2 := context.WithTimeout(ctx, 4*s.opts.OpTimeout)
 	defer cancel2()
 	var landed bool

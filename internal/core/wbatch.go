@@ -123,6 +123,10 @@ func (s *Server) writeBatchOnce(ctx context.Context, sg *segment, major uint64, 
 	sg.mu.Lock()
 	grp := sg.group
 	dissolved := sg.dissolved
+	// A holder already streaming, with no transfer freezing updates, expects
+	// its token op to answer tokHeld.
+	ms := sg.majors[major]
+	held := ms != nil && ms.holder == s.id && (ms.unstable || !params.Stability) && !ms.transferring
 	sg.mu.Unlock()
 	if grp == nil || dissolved {
 		return nil, nil, ErrBusy
@@ -152,6 +156,16 @@ func (s *Server) writeBatchOnce(ctx context.Context, sg *segment, major uint64, 
 		return nil, nil, err
 	}
 
+	pairs := make([]version.Pair, len(reqs))
+	errs := make([]error, len(reqs))
+	if held && s.effectiveSafety(sg, major, params) <= 0 && !conditional(reqs) {
+		// An asynchronous unsafe write (§4) from the holder of an unstable
+		// stream returns before any replica replies.
+		go s.finishWrite(sg, major, bc.Op(bc.Len()-1))
+		s.scheduleStability(sg, major)
+		return pairs, errs, nil
+	}
+
 	// The token op decides the batch's fate: its outcome tells us whether
 	// the token passed (and to which major); tokBusy/tokUnavailable mean no
 	// op in the batch changed holder state.
@@ -165,8 +179,6 @@ func (s *Server) writeBatchOnce(ctx context.Context, sg *segment, major uint64, 
 	if decErr != nil {
 		return nil, nil, ErrBusy
 	}
-	pairs := make([]version.Pair, len(reqs))
-	errs := make([]error, len(reqs))
 	switch first.Outcome {
 	case tokUnavailable:
 		return nil, nil, ErrWriteUnavailable
@@ -187,12 +199,15 @@ func (s *Server) writeBatchOnce(ctx context.Context, sg *segment, major uint64, 
 	sg.mu.Lock()
 	_, haveReplica := sg.local[granted]
 	sg.mu.Unlock()
-	if params.Stability || !haveReplica {
-		// The cast carried the token pass: every available member, this one
-		// included, must have applied it before we act as the new holder.
-		// Readers forward to the holder in their own state, so a deposed
-		// holder that had not applied the pass could briefly serve stale
-		// reads; and a transfer is run by the holder in its own state.
+	if params.Stability && first.Outcome != tokHeld || !haveReplica {
+		// The cast passed the token or began an unstable stream: every
+		// available member, this one included, must have applied it before
+		// we act as the holder. Readers forward to the holder in their own
+		// state, so a deposed holder that had not applied the pass could
+		// briefly serve stale reads, and a member that had not applied the
+		// unstable mark would serve its own replica, which the update is
+		// leaving behind; and a transfer is run by the holder in its own
+		// state.
 		actx, acancel := context.WithTimeout(ctx, s.opts.OpTimeout)
 		_, _ = bc.Op(0).Wait(actx, isis.All)
 		acancel()
@@ -239,6 +254,17 @@ func (s *Server) writeBatchOnce(ctx context.Context, sg *segment, major uint64, 
 		s.waitRevocations(ctx, bc.Op(0))
 	}
 	return pairs, errs, nil
+}
+
+// conditional reports whether any op carries an Expect: its outcome is the
+// answer its caller asked for, so even an asynchronous write waits for it.
+func conditional(reqs []WriteReq) bool {
+	for _, r := range reqs {
+		if !r.Expect.IsZero() {
+			return true
+		}
+	}
+	return false
 }
 
 // collectAsyncErrs waits briefly for the first reply of each op of an async
