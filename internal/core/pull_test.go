@@ -493,3 +493,44 @@ func TestViewChangeEndsOrphanedTransfer(t *testing.T) {
 		t.Fatalf("read = %q, %v; want %q", data, err, "afterad")
 	}
 }
+
+// TestWriteResumesWhenTransferEnds covers a write refused because a
+// transfer freezes its file (§3.1): it goes out again as soon as the
+// transfer ends, not after a blind RetryDelay.
+func TestWriteResumesWhenTransferEnds(t *testing.T) {
+	copts := testCoreOpts()
+	copts.RetryDelay = 5 * time.Second
+	c := newTestClusterFull(t, 2, testISISOpts(), copts)
+	ctx := ctxT(t, 20*time.Second)
+	srv0, srv1 := c.nodes[0].srv, c.nodes[1].srv
+	major := uint64(version.InitialMajor)
+	id, err := srv0.Create(ctx, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv0.Write(ctx, id, WriteReq{Data: []byte("payload")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv1.Stat(ctx, id); err != nil { // srv1 joins without a replica
+		t.Fatal(err)
+	}
+	sg0 := srv0.tab.get(id)
+	// A transfer to srv1 from a source that never answers.
+	if _, err := srv0.castAll(ctx, sg0, &castMsg{
+		Op: opBeginTransfer, Major: major, Source: "ghost", Target: srv1.ID(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const hold = 100 * time.Millisecond
+	go func() {
+		time.Sleep(hold)
+		_, _ = srv0.castAll(ctx, sg0, &castMsg{Op: opAbortTransfer, Major: major})
+	}()
+	start := time.Now()
+	if _, err := srv0.Write(ctx, id, WriteReq{Data: []byte("after")}); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < hold || took > hold+time.Second {
+		t.Fatalf("write took %v; want it to follow the transfer's end at %v", took, hold)
+	}
+}

@@ -456,6 +456,9 @@ func (s *Server) retry(ctx context.Context, fn func() error) error {
 		if !IsRetryable(err) {
 			return err
 		}
+		if errors.Is(err, errTransferEnded) && ctx.Err() == nil {
+			continue
+		}
 		select {
 		case <-ctx.Done():
 			return derr.Wrap(derr.CodeDeadline, "core.retry", err)
@@ -495,24 +498,25 @@ func (s *Server) castSelf(ctx context.Context, sg *segment, m *castMsg) (*castRe
 	}
 	cctx, cancel := context.WithTimeout(ctx, s.opts.OpTimeout)
 	defer cancel()
+	r, err := s.ownReply(cctx, call)
+	if err == nil && r.failed() {
+		return r, replyErr(r)
+	}
+	return r, err
+}
+
+// ownReply waits for this member's own reply to call.
+func (s *Server) ownReply(ctx context.Context, call *isis.Call) (*castReply, error) {
 	want := 1
 	for {
-		replies, err := call.Wait(cctx, want)
+		replies, err := call.Wait(ctx, want)
 		for _, rep := range replies {
-			if rep.From != s.id {
-				continue
+			if rep.From == s.id {
+				return decodeReply(rep.Data)
 			}
-			r, err := decodeReply(rep.Data)
-			if err != nil {
-				return nil, err
-			}
-			if r.failed() {
-				return r, replyErr(r)
-			}
-			return r, nil
 		}
 		if err != nil || len(replies) < want {
-			return nil, ErrBusy // gone, or out of time, before applying m
+			return nil, ErrBusy // gone, or out of time, before applying the cast
 		}
 		want = len(replies) + 1
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"repro/internal/isis"
 	"repro/internal/version"
@@ -183,7 +184,7 @@ func (s *Server) writeBatchOnce(ctx context.Context, sg *segment, major uint64, 
 	case tokUnavailable:
 		return nil, nil, ErrWriteUnavailable
 	case tokBusy:
-		return nil, nil, ErrBusy
+		return nil, nil, s.awaitTransferEnd(ctx, sg, bc.Op(0), major)
 	case 0:
 		// Refused ahead of the token phase (a lost Expect race, a missing
 		// version): the token did not move, so every follower was refused
@@ -254,6 +255,28 @@ func (s *Server) writeBatchOnce(ctx context.Context, sg *segment, major uint64, 
 		s.waitRevocations(ctx, bc.Op(0))
 	}
 	return pairs, errs, nil
+}
+
+// errTransferEnded refuses a write that a transfer froze (§3.1) once that
+// transfer has ended: the write is retried at once, not after RetryDelay.
+var errTransferEnded = fmt.Errorf("%w: transfer ended", ErrBusy)
+
+// awaitTransferEnd runs after a token op was refused because major is
+// transferring. It waits for this member to apply that op, so the transfer
+// is in its own state too, and then for the transfer to end.
+func (s *Server) awaitTransferEnd(ctx context.Context, sg *segment, call *isis.Call, major uint64) error {
+	wctx, cancel := context.WithTimeout(ctx, s.opts.OpTimeout)
+	defer cancel()
+	if _, err := s.ownReply(wctx, call); err != nil {
+		return ErrBusy
+	}
+	if !sg.await(wctx, func() bool {
+		ms := sg.majors[major]
+		return ms == nil || !ms.transferring
+	}) {
+		return ErrBusy
+	}
+	return errTransferEnded
 }
 
 // conditional reports whether any op carries an Expect: its outcome is the
