@@ -23,8 +23,9 @@ race:
 # Repeated runs of the tests that catch a transfer installing a stale copy
 # or an update relabelling one (a lost acked write shows up as zeros), then
 # of the one write path's tests: a cold write is one cast, a lost Expect
-# race moves nothing, a holder's read waits for its own replica, and a view
-# change ends a transfer orphaned by its holder.
+# race moves nothing, a holder's read waits for its own replica, a view
+# change ends a transfer orphaned by its holder, and a holder's streaming
+# write waits only for its write safety level.
 stress:
 	$(GO) test -count=100 -run 'TestConcurrentMultiWriter$$|TestTransferInstallsOnlyFrozenPair|TestUpdateDropsStaleReplica' ./internal/core
 	$(GO) test -count=10 -run 'TestPiggyback|TestColdWriteIsOneCast$$|TestHolderReadWaitsForOwnReplica$$|TestViewChangeEndsOrphanedTransfer$$|TestHolderStreamWriteWaitsOnlyForSafety$$' ./internal/core

@@ -456,7 +456,8 @@ func (s *Server) retry(ctx context.Context, fn func() error) error {
 		if !IsRetryable(err) {
 			return err
 		}
-		if errors.Is(err, errTransferEnded) && ctx.Err() == nil {
+		// Compared by identity: errors.Is matches every CodeBusy error.
+		if err == errTransferEnded && ctx.Err() == nil {
 			continue
 		}
 		select {

@@ -3,8 +3,8 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 
+	"repro/internal/derr"
 	"repro/internal/isis"
 	"repro/internal/version"
 )
@@ -259,7 +259,7 @@ func (s *Server) writeBatchOnce(ctx context.Context, sg *segment, major uint64, 
 
 // errTransferEnded refuses a write that a transfer froze (§3.1) once that
 // transfer has ended: the write is retried at once, not after RetryDelay.
-var errTransferEnded = fmt.Errorf("%w: transfer ended", ErrBusy)
+var errTransferEnded = derr.New(derr.CodeBusy, "core: transfer ended; retry")
 
 // awaitTransferEnd runs after a token op was refused because major is
 // transferring. It waits for this member to apply that op, so the transfer
