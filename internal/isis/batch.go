@@ -150,7 +150,7 @@ func (g *gstate) newBatchCast(payloads [][]byte) []*Call {
 	g.calls[id] = bs
 	req := &env{
 		Kind: kCastReq, Flags: flagBatchCast, Group: g.name,
-		MsgID: id, Origin: g.me(), Inc: g.p.inc,
+		MsgID: id, Origin: g.me(), Inc: g.inc,
 		Payload: EncodeBatchFrame(payloads),
 	}
 	g.outbox[id] = &outboxEntry{req: req, sent: time.Now()}

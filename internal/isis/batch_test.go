@@ -163,3 +163,23 @@ func TestCastBatchSurvivesMemberFailure(t *testing.T) {
 		}
 	}
 }
+
+// TestEncodeBatchFrameAllocs holds staging a run of write payloads into one
+// batch cast frame to at most 2 allocations: the frame stays in the cast
+// outbox, so its one owned allocation is the floor.
+func TestEncodeBatchFrameAllocs(t *testing.T) {
+	payloads := make([][]byte, 8)
+	for i := range payloads {
+		payloads[i] = make([]byte, 512)
+	}
+	var frame []byte
+	allocs := testing.AllocsPerRun(1000, func() {
+		frame = EncodeBatchFrame(payloads)
+	})
+	if len(frame) == 0 {
+		t.Fatal("empty frame")
+	}
+	if allocs > 2 {
+		t.Errorf("batched write frame: %.0f allocs/op, want <= 2", allocs)
+	}
+}

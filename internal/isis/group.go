@@ -3,6 +3,7 @@ package isis
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"sync"
 	"time"
 
@@ -161,7 +162,11 @@ type gstate struct {
 	vc       *viewChange
 	wedgeQ   []*env
 
-	// Origin-side cast tracking.
+	// Origin-side cast tracking. inc is this membership's incarnation: a
+	// member that leaves and joins again restarts msgIDc at 0 in a new
+	// gstate, so its casts need a new incarnation or the old members would
+	// drop them as duplicates.
+	inc    uint64
 	msgIDc uint64
 	calls  map[uint64]replySink
 	outbox map[uint64]*outboxEntry
@@ -186,6 +191,7 @@ func newGState(p *Process, name string, app App) *gstate {
 		p:        p,
 		name:     name,
 		app:      app,
+		inc:      rand.Uint64() | 1, // non-zero so "unknown" (0) is distinguishable
 		holdback: make(map[uint64]*seqRecord),
 		log:      make(map[uint64]*seqRecord),
 		dedupIDs: make(map[simnet.NodeID]*ringSet),
@@ -228,7 +234,7 @@ func (g *gstate) newCast(payload []byte) *Call {
 	id := g.msgIDc
 	call := newCall()
 	g.calls[id] = call
-	req := &env{Kind: kCastReq, Group: g.name, MsgID: id, Origin: g.me(), Inc: g.p.inc, Payload: payload}
+	req := &env{Kind: kCastReq, Group: g.name, MsgID: id, Origin: g.me(), Inc: g.inc, Payload: payload}
 	g.outbox[id] = &outboxEntry{req: req, sent: time.Now()}
 	g.routeCastReq(req)
 	return call
@@ -330,7 +336,7 @@ func (g *gstate) advance() {
 
 func (g *gstate) deliverRec(rec *seqRecord) {
 	// A cast from a new incarnation of the origin (a restarted server
-	// reusing its node id) restarts the origin's message-id counter: the
+	// reusing its node id, or a member that left and joined again) restarts the origin's message-id counter: the
 	// accumulated dedup history would silently swallow its casts. The
 	// incarnation rides inside the totally ordered record, so every member
 	// resets at the same point in the delivery order.

@@ -47,7 +47,7 @@ type env struct {
 	Seq      uint64
 	Origin   simnet.NodeID // original sender for relayed messages
 	MsgID    uint64        // origin-local cast identifier
-	Inc      uint64        // origin's process incarnation (see gstate.incs)
+	Inc      uint64        // origin's membership incarnation (see gstate.inc)
 	Acked    uint64        // highest contiguously delivered seq
 	Payload  []byte
 	Snapshot []byte

@@ -2,7 +2,6 @@ package isis
 
 import (
 	"context"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -18,7 +17,6 @@ import (
 type Process struct {
 	tr  simnet.Transport
 	opt Options
-	inc uint64 // this process's incarnation; distinguishes restarts reusing a node id
 
 	localq chan func()
 	done   chan struct{}
@@ -44,7 +42,6 @@ func NewProcess(tr simnet.Transport, peers []simnet.NodeID, opt Options) *Proces
 	p := &Process{
 		tr:       tr,
 		opt:      opt,
-		inc:      rand.Uint64() | 1, // non-zero so "unknown" (0) is distinguishable
 		localq:   make(chan func(), 1024),
 		done:     make(chan struct{}),
 		peers:    append([]simnet.NodeID(nil), peers...),

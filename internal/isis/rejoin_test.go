@@ -2,6 +2,7 @@ package isis
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 )
@@ -195,4 +196,48 @@ func TestCrashedMemberRejoinsWithSameID(t *testing.T) {
 		}
 		return false
 	})
+}
+
+// TestLeaveThenRejoinCastsDeliver: a live process leaves a group and joins
+// it again without restarting. Its message ids restart at 1 with the new
+// membership, so the old members must not take them for duplicates of the
+// casts it sent before it left.
+func TestLeaveThenRejoinCastsDeliver(t *testing.T) {
+	c := newCell(t, 2)
+	app0 := &testApp{id: "n0"}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	if _, err := c.procs[0].Create("g", app0); err != nil {
+		t.Fatal(err)
+	}
+	g1, err := c.procs[1].Join(ctx, "g", &testApp{id: "n1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []string{"a", "b"} {
+		if _, err := g1.Cast(ctx, []byte(m), All); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g1.Leave(); err != nil {
+		t.Fatal(err)
+	}
+	// The leave finishes asynchronously; until it does, Join reports the
+	// process still a member.
+	for {
+		g1, err = c.procs[1].Join(ctx, "g", &testApp{id: "n1"})
+		if !errors.Is(err, errGroupExists) {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err != nil {
+		t.Fatalf("rejoin: %v", err)
+	}
+	castCtx, castCancel := context.WithTimeout(ctx, time.Second)
+	defer castCancel()
+	if _, err := g1.Cast(castCtx, []byte("c"), All); err != nil {
+		t.Fatalf("cast after rejoin: %v (n0 delivered %v)", err, app0.deliveredList())
+	}
 }

@@ -2,28 +2,28 @@ package load
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/derr"
 	"repro/internal/simnet"
 	"repro/internal/store"
 	"repro/internal/testnfs"
+	"repro/internal/testutil"
+	"repro/internal/wire"
 )
 
-// ChaosConfig layers fault injection on top of a running load and states
-// what "degrades gracefully" means for the run. The schedule is fixed in
-// shape and scaled to the run's duration D:
+// The chaos schedule is fixed in shape and scaled to the run's duration D:
 //
-//	0.10 D  wan-latency   SetLatency(Latency, Jitter) on the server network
-//	0.20 D  loss          SetLoss(Loss)
+//	0.10 D  wan-latency   SetLatency(chaosLatency, chaosJitter) on the server network
+//	0.20 D  loss          SetLoss(chaosLoss)
 //	0.30 D  partition     srv1 isolated from the majority
 //	0.45 D  heal          partition healed
-//	0.46 D  overload      every server's admission bound squeezed to
-//	                      OverloadMaxInflight: excess requests are shed with
-//	                      typed Overloaded errors and retry-after hints
+//	0.46 D  overload      every server's admission bound squeezed to 1:
+//	                      excess requests are shed with typed Overloaded
+//	                      errors and retry-after hints
 //	0.53 D  unsqueeze     admission bounds restored to unlimited
 //	0.55 D  crash         last server killed mid-group-commit: its on-disk
 //	                      log store is left with a torn (half-written) wal
@@ -31,131 +31,116 @@ import (
 //	0.70 D  restart       crashed server recovers its store from checkpoint
 //	                      + log replay (truncating the torn tail) and reboots
 //	                      on its old address; latency and loss cleared
-//	0.85 D  recovery window begins — the assertions below read it; if the
+//	0.85 D  recovery window begins — the gates below read it; if the
 //	        restart fired late the window re-anchors to restart + 0.15 D
-type ChaosConfig struct {
-	// Mix is the workload run under chaos; zero value means a blended
-	// read/write/getattr mix ("chaos-mixed").
-	Mix Mix
-	// Rate and Duration override the config's per-mix values; zero keeps
-	// them (Duration is doubled for chaos so the schedule has room).
-	Rate     float64
-	Duration time.Duration
-
-	Latency time.Duration // injected one-way WAN latency (default 2ms)
-	Jitter  time.Duration // latency jitter bound (default 1ms)
-	Loss    float64       // message loss probability (default 0.02)
-
-	// OverloadMaxInflight is the per-server admission bound during the
-	// overload squeeze (default 1). Shed requests must reach the clients as
-	// typed Overloaded errors — zero server sheds, or server sheds without
-	// client-side Overloaded errors, are violations.
-	OverloadMaxInflight int
+const (
+	chaosLatency = 2 * time.Millisecond // injected one-way WAN latency
+	chaosJitter  = time.Millisecond     // latency jitter bound
+	chaosLoss    = 0.02                 // message loss probability
 
 	// Graceful-degradation gates: the run must keep its overall error
-	// fraction under MaxErrorFraction, and inside the recovery window —
+	// fraction under maxErrorFraction, and inside the recovery window —
 	// after every fault is healed — the error fraction must fall below
-	// RecoveryMaxErrorFraction while throughput recovers to at least
-	// RecoveryMinThroughputFraction of the offered rate.
-	MaxErrorFraction              float64
-	RecoveryMaxErrorFraction      float64
-	RecoveryMinThroughputFraction float64
-}
-
-// DefaultChaos is the standard chaos shape used by `make load`.
-func DefaultChaos() *ChaosConfig {
-	return &ChaosConfig{
-		Latency:                       2 * time.Millisecond,
-		Jitter:                        time.Millisecond,
-		Loss:                          0.02,
-		MaxErrorFraction:              0.50,
-		RecoveryMaxErrorFraction:      0.10,
-		RecoveryMinThroughputFraction: 0.50,
-	}
-}
-
-func (cc ChaosConfig) withDefaults(cfg Config) ChaosConfig {
-	if cc.Mix.Name == "" {
-		cc.Mix = Mix{Name: "chaos-mixed", Weights: map[OpClass]int{OpRead: 60, OpWrite: 30, OpGetattr: 10}}
-	}
-	if cc.Rate == 0 {
-		cc.Rate = cfg.Rate
-	}
-	if cc.Duration == 0 {
-		cc.Duration = 2 * cfg.Duration
-	}
-	if cc.Latency == 0 {
-		cc.Latency = 2 * time.Millisecond
-	}
-	if cc.Jitter == 0 {
-		cc.Jitter = time.Millisecond
-	}
-	if cc.Loss == 0 {
-		cc.Loss = 0.02
-	}
-	if cc.OverloadMaxInflight == 0 {
-		cc.OverloadMaxInflight = 1
-	}
-	if cc.MaxErrorFraction == 0 {
-		cc.MaxErrorFraction = 0.50
-	}
-	if cc.RecoveryMaxErrorFraction == 0 {
-		cc.RecoveryMaxErrorFraction = 0.10
-	}
-	if cc.RecoveryMinThroughputFraction == 0 {
-		cc.RecoveryMinThroughputFraction = 0.50
-	}
-	return cc
-}
+	// recoveryMaxErrorFraction while throughput recovers to at least
+	// recoveryMinThroughputFraction of the offered rate. Shed requests must
+	// reach the clients as typed Overloaded errors: zero server sheds, or
+	// server sheds without client-side Overloaded errors, are violations.
+	maxErrorFraction              = 0.50
+	recoveryMaxErrorFraction      = 0.10
+	recoveryMinThroughputFraction = 0.50
+)
 
 // ChaosEvent records one injected fault (or its repair) on the run's clock.
 type ChaosEvent struct {
-	AtSec float64 `json:"at_sec"`
-	Name  string  `json:"name"`
+	AtSec float64
+	Name  string
 }
 
 // TraceBucket is one second of the chaos run: completions and failures
-// landing in that second. The trace makes recovery shape visible in the
-// serialized result — where throughput dipped and how fast it came back.
+// landing in that second. The trace makes recovery shape visible when the
+// gate fails — where throughput dipped and how fast it came back.
 type TraceBucket struct {
-	Sec int    `json:"sec"`
-	Ok  uint64 `json:"ok"`
-	Bad uint64 `json:"bad"`
+	Sec int
+	Ok  uint64
+	Bad uint64
 }
 
 // RecoveryStats is the measured behavior inside the recovery window.
 type RecoveryStats struct {
-	WindowStartSec float64 `json:"window_start_sec"`
-	WindowSec      float64 `json:"window_sec"`
-	Completed      uint64  `json:"completed"`
-	Errored        uint64  `json:"errored"`
-	ErrorFraction  float64 `json:"error_fraction"`
-	Throughput     float64 `json:"throughput_ops_sec"`
+	WindowStartSec float64
+	WindowSec      float64
+	Completed      uint64
+	Errored        uint64
+	ErrorFraction  float64
+	Throughput     float64
 }
 
 // ChaosResult is the chaos run's MixResult plus the injected schedule and
 // the graceful-degradation verdict.
 type ChaosResult struct {
 	MixResult
-	Events        []ChaosEvent  `json:"events"`
-	ErrorFraction float64       `json:"error_fraction"`
-	ServerSheds   uint64        `json:"server_sheds"`
-	Trace         []TraceBucket `json:"trace"`
-	Recovery      RecoveryStats `json:"recovery"`
-	Graceful      bool          `json:"graceful"`
-	Violations    []string      `json:"violations,omitempty"`
+	Events        []ChaosEvent
+	ErrorFraction float64
+	Trace         []TraceBucket
+	Recovery      RecoveryStats
+	Graceful      bool
+	Violations    []string
 }
 
-// runChaos runs the chaos mix with the fault schedule riding alongside and
-// evaluates the graceful-degradation assertions. vlog, if non-nil, is the
-// crash victim's on-disk log store: the crash step arms a torn-commit fault
-// so the node dies mid-group-commit, and the restart recovers the store from
-// its checkpoint+log (truncating the torn frame) before rejoining.
-func runChaos(cell *testnfs.NFSCell, fx *fixture, cfg Config, vlog *victimLog) (*ChaosResult, error) {
-	cc := (*cfg.Chaos).withDefaults(cfg)
-	D := cc.Duration
-	tl := newTimeline(D+cfg.DrainTimeout, 100*time.Millisecond)
+// victimLog is the chaos crash victim's on-disk log store state: the
+// directory its LogStore persists into and the injector that tears its
+// in-flight commit at crash time.
+type victimLog struct {
+	dir string
+	inj *testutil.CrashInjector
+}
 
+// RunChaos boots a cell, prepopulates the working set and drives cfg.Mix
+// at cfg.Rate for cfg.Duration with the fault schedule riding alongside,
+// then evaluates the graceful-degradation gates. A run that fails them is
+// reported in ChaosResult.Violations, not as an error.
+//
+// Every odd-numbered server's RPC endpoint runs one wire-protocol minor
+// behind the dialing agents (same major), so the run doubles as the
+// mixed-version compatibility proof. The crash victim persists into a real
+// on-disk LogStore wearing a fault injector: the crash tears a wal frame
+// mid-group-commit and the restart reopens the directory, so the run
+// exercises torn-tail truncation and checkpoint+log recovery under live
+// load, not just an in-memory state swap.
+func RunChaos(cfg Config) (*ChaosResult, error) {
+	cfg = cfg.withLogf()
+	dir, err := os.MkdirTemp("", "deceit-chaos-victim-*")
+	if err != nil {
+		return nil, fmt.Errorf("load: victim log dir: %w", err)
+	}
+	defer os.RemoveAll(dir)
+	vlog := &victimLog{dir: dir, inj: testutil.NewCrashInjector()}
+	victim := servers - 1
+	cfg.Logf("load: booting %d-server cell", servers)
+	cell, err := testnfs.NewNFSCellStores(servers, cellParams(), func(i int) (store.Store, error) {
+		if i != victim {
+			return nil, nil // default MemStore
+		}
+		return store.OpenLog(dir, store.LogOptions{Faults: vlog.inj})
+	})
+	if err != nil {
+		return nil, fmt.Errorf("load: boot cell: %w", err)
+	}
+	defer cell.Close()
+	for i, nd := range cell.Nodes {
+		if i%2 == 1 {
+			nd.Server.RPC().SetProtocolVersion(wire.ProtocolMajor, wire.ProtocolMinor-1)
+		}
+	}
+	cfg.Logf("load: version skew: odd servers at v%d.%d", wire.ProtocolMajor, wire.ProtocolMinor-1)
+	fx, err := newFixture(cell, cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer fx.close()
+
+	D := cfg.Duration
+	tl := newTimeline(D+drainTimeout, 100*time.Millisecond)
 	var mu sync.Mutex
 	var events []ChaosEvent
 	var serverSheds atomic.Uint64
@@ -171,15 +156,14 @@ func runChaos(cell *testnfs.NFSCell, fx *fixture, cfg Config, vlog *victimLog) (
 				time.Sleep(d)
 			}
 		}
-		victim := cfg.Servers - 1
 		victimAddr := cell.Nodes[victim].Addr
 
 		at(0.10)
-		cell.Net.SetLatency(cc.Latency, cc.Jitter)
-		record(fmt.Sprintf("wan-latency %v jitter %v", cc.Latency, cc.Jitter))
+		cell.Net.SetLatency(chaosLatency, chaosJitter)
+		record(fmt.Sprintf("wan-latency %v jitter %v", chaosLatency, chaosJitter))
 		at(0.20)
-		cell.Net.SetLoss(cc.Loss)
-		record(fmt.Sprintf("loss %.0f%%", 100*cc.Loss))
+		cell.Net.SetLoss(chaosLoss)
+		record(fmt.Sprintf("loss %.0f%%", 100*chaosLoss))
 		at(0.30)
 		minority := []simnet.NodeID{cell.IDs[1]}
 		majority := append(append([]simnet.NodeID{}, cell.IDs[:1]...), cell.IDs[2:]...)
@@ -190,9 +174,9 @@ func runChaos(cell *testnfs.NFSCell, fx *fixture, cfg Config, vlog *victimLog) (
 		record("heal")
 		at(0.46)
 		for i := range cell.Nodes {
-			cell.Nodes[i].Server.SetMaxInflight(cc.OverloadMaxInflight)
+			cell.Nodes[i].Server.SetMaxInflight(1)
 		}
-		record(fmt.Sprintf("overload squeeze: max-inflight %d on every server", cc.OverloadMaxInflight))
+		record("overload squeeze: max-inflight 1 on every server")
 		at(0.53)
 		var squeezed uint64
 		for i := range cell.Nodes {
@@ -202,38 +186,32 @@ func runChaos(cell *testnfs.NFSCell, fx *fixture, cfg Config, vlog *victimLog) (
 		serverSheds.Store(squeezed)
 		record(fmt.Sprintf("overload squeeze cleared: %d requests shed", squeezed))
 		at(0.55)
-		if vlog != nil {
-			// Arm a torn-commit crash so the node dies with a half-written
-			// wal frame, then give the live load a moment to drive a group
-			// commit into it. If traffic happens to miss the victim's store
-			// in that window the crash still proceeds, just untorn.
-			vlog.inj.Arm(store.CrashTornCommit, 1)
-			fireBy := time.Now().Add(2 * time.Second)
-			for len(vlog.inj.Fired()) == 0 && time.Now().Before(fireBy) {
-				time.Sleep(5 * time.Millisecond)
-			}
+		// Arm a torn-commit crash so the node dies with a half-written wal
+		// frame, then give the live load a moment to drive a group commit
+		// into it. If traffic happens to miss the victim's store in that
+		// window the crash still proceeds, just untorn.
+		vlog.inj.Arm(store.CrashTornCommit, 1)
+		fireBy := time.Now().Add(2 * time.Second)
+		for len(vlog.inj.Fired()) == 0 && time.Now().Before(fireBy) {
+			time.Sleep(5 * time.Millisecond)
 		}
 		st := cell.CrashNFS(victim)
-		if vlog != nil && len(vlog.inj.Fired()) > 0 {
+		if len(vlog.inj.Fired()) > 0 {
 			record(fmt.Sprintf("crash %v mid-group-commit (torn wal frame)", cell.IDs[victim]))
 		} else {
 			record(fmt.Sprintf("crash %v", cell.IDs[victim]))
 		}
 		at(0.70)
-		params := core.DefaultParams()
-		params.MinReplicas = cfg.Replicas
-		if vlog != nil {
-			st.Close()
-			ls, err := store.OpenLog(vlog.dir, store.LogOptions{})
-			if err != nil {
-				record(fmt.Sprintf("log recovery FAILED: %v", err))
-			} else {
-				lst := ls.Stats()
-				record(fmt.Sprintf("log recovered: %d commits replayed (ckpt seq %d), torn tail truncated", lst.Seq-lst.CheckpointSeq, lst.CheckpointSeq))
-				st = ls
-			}
+		st.Close()
+		ls, err := store.OpenLog(vlog.dir, store.LogOptions{})
+		if err != nil {
+			record(fmt.Sprintf("log recovery FAILED: %v", err))
+		} else {
+			lst := ls.Stats()
+			record(fmt.Sprintf("log recovered: %d commits replayed (ckpt seq %d), torn tail truncated", lst.Seq-lst.CheckpointSeq, lst.CheckpointSeq))
+			st = ls
 		}
-		if _, err := cell.RestartNFSNode(victim, st, victimAddr, params); err != nil {
+		if _, err := cell.RestartNFSNode(victim, st, victimAddr, cellParams()); err != nil {
 			record(fmt.Sprintf("restart %v FAILED: %v", cell.IDs[victim], err))
 		} else {
 			record(fmt.Sprintf("restart %v on %s", cell.IDs[victim], victimAddr))
@@ -243,12 +221,8 @@ func runChaos(cell *testnfs.NFSCell, fx *fixture, cfg Config, vlog *victimLog) (
 		record("clear wan-latency and loss")
 	}
 
-	cfg.Logf("load: chaos run %s (%.0f ops/s for %v)", cc.Mix.Name, cc.Rate, D)
-	mr, _, err := runMix(cell, fx, cfg, cc.Mix, cc.Rate, D, cfg.Seed+1000,
-		&mixHooks{timeline: tl, background: sched})
-	if err != nil {
-		return nil, err
-	}
+	cfg.Logf("load: chaos run (%.0f ops/s for %v)", cfg.Rate, D)
+	mr := runMix(cell, fx, &mixHooks{timeline: tl, background: sched})
 
 	cr := &ChaosResult{MixResult: *mr, Events: events}
 	for sec := 0; float64(sec) < D.Seconds()+2; sec++ {
@@ -291,30 +265,29 @@ func runChaos(cell *testnfs.NFSCell, fx *fixture, cfg Config, vlog *victimLog) (
 		cr.Recovery.ErrorFraction = float64(bad) / float64(ok+bad)
 	}
 
-	if cr.ErrorFraction > cc.MaxErrorFraction {
+	if cr.ErrorFraction > maxErrorFraction {
 		cr.Violations = append(cr.Violations, fmt.Sprintf(
 			"error fraction %.2f exceeds %.2f across the whole run",
-			cr.ErrorFraction, cc.MaxErrorFraction))
+			cr.ErrorFraction, maxErrorFraction))
 	}
-	if cr.Recovery.ErrorFraction > cc.RecoveryMaxErrorFraction {
+	if cr.Recovery.ErrorFraction > recoveryMaxErrorFraction {
 		cr.Violations = append(cr.Violations, fmt.Sprintf(
 			"recovery-window error fraction %.2f exceeds %.2f: did not recover within %.1fs of the last fault",
-			cr.Recovery.ErrorFraction, cc.RecoveryMaxErrorFraction, (from-lastFault).Seconds()))
+			cr.Recovery.ErrorFraction, recoveryMaxErrorFraction, (from-lastFault).Seconds()))
 	}
-	cr.ServerSheds = serverSheds.Load()
-	if cr.ServerSheds == 0 {
+	if sheds := serverSheds.Load(); sheds == 0 {
 		cr.Violations = append(cr.Violations,
 			"overload squeeze shed nothing: admission control never engaged")
 	} else if cr.Errors[derr.Overloaded.String()] == 0 {
 		cr.Violations = append(cr.Violations, fmt.Sprintf(
 			"servers shed %d requests but clients recorded no typed %q errors: the Overloaded code was lost on the wire",
-			cr.ServerSheds, derr.Overloaded))
+			sheds, derr.Overloaded))
 	}
-	minTput := cc.RecoveryMinThroughputFraction * cc.Rate
+	minTput := recoveryMinThroughputFraction * cfg.Rate
 	if cr.Recovery.Throughput < minTput {
 		cr.Violations = append(cr.Violations, fmt.Sprintf(
 			"recovery-window throughput %.1f ops/s below %.1f (%.0f%% of the %.0f ops/s offered)",
-			cr.Recovery.Throughput, minTput, 100*cc.RecoveryMinThroughputFraction, cc.Rate))
+			cr.Recovery.Throughput, minTput, 100*recoveryMinThroughputFraction, cfg.Rate))
 	}
 	cr.Graceful = len(cr.Violations) == 0
 	return cr, nil

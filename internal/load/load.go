@@ -1,21 +1,16 @@
-// Package load is the open-loop heavy-traffic harness: it drives a cell of
-// full Deceit servers with hundreds of concurrent NFS agents at a fixed
-// arrival rate (open loop — arrivals keep coming whether or not earlier
-// ops finished, so saturation shows up as queueing delay in the latency
-// histograms instead of silently throttling the generator), across the
-// four canonical workload mixes, optionally with chaos injected into the
-// inter-server network while the load runs (see chaos.go).
-//
-// Each run serializes a machine-readable Result (BENCH_<date>.json);
-// committed results form the repo's perf trajectory and CI diffs each new
-// run against the last one (see result.go and cmd/deceit-load).
+// Package load is the chaos gate: it drives a cell of full Deceit servers
+// with concurrent NFS agents at a fixed arrival rate (open loop — arrivals
+// keep coming whether or not earlier ops finished, so saturation shows up
+// as queueing and failures instead of silently throttling the generator).
+// Run drives a healthy cell; RunChaos injects faults into the inter-server
+// network, the servers' admission control and one server's store while the
+// load runs, and judges whether the cell degrades gracefully (see chaos.go).
 package load
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,222 +19,85 @@ import (
 	"repro/internal/core"
 	"repro/internal/derr"
 	"repro/internal/nfsproto"
-	"repro/internal/store"
+	"repro/internal/simnet"
 	"repro/internal/testnfs"
-	"repro/internal/testutil"
-	"repro/internal/wire"
 )
 
-// Config parameterizes one harness run. Zero values take defaults (see
-// withDefaults); DefaultConfig and ShortConfig are the two standard shapes.
+const (
+	servers      = 3    // cell size: the chaos run needs a partition minority and a crash victim
+	fileSize     = 4096 // bytes per prepopulated file
+	opBytes      = 512  // bytes moved per read/write op
+	replicas     = 2    // MinReplicas for every file's params
+	seed         = 1    // seeds the workload picker and the simnet loss rng
+	drainTimeout = 20 * time.Second
+)
+
+// Config parameterizes one run.
 type Config struct {
-	Servers  int           // cell size
 	Agents   int           // concurrent client agents (each owns a TCP conn)
-	Rate     float64       // arrivals per second, per mix
-	Duration time.Duration // generation window, per mix
+	Rate     float64       // arrivals per second
+	Duration time.Duration // generation window
 	Files    int           // prepopulated files under /load
-	FileSize int           // bytes per file
-	OpBytes  int           // bytes moved per read/write op
-	Replicas int           // MinReplicas for every file's params
-	Seed     int64         // seeds the workload rng and simnet loss rng
-
-	// NoAgentCache disables the agents' lease-backed caches; default is the
-	// production shape, caches on.
-	NoAgentCache bool
-
-	// VersionSkew runs every odd-numbered server's RPC endpoint one wire-
-	// protocol minor behind the dialing agents (same major), so the run
-	// doubles as the mixed-version compatibility proof: a skewed replica
-	// group must serve traffic and pass the chaos gates unchanged.
-	VersionSkew bool
-
-	// DrainTimeout bounds how long the run waits for queued arrivals after
-	// generation ends; arrivals still queued at the deadline are shed and
-	// counted in the error taxonomy.
-	DrainTimeout time.Duration
-
-	Mixes []Mix        // default: StandardMixes
-	Chaos *ChaosConfig // nil = no chaos run
+	Mix      Mix           // the op blend the generator draws from
 
 	Logf func(format string, args ...any) // optional progress output
 }
 
-func (c Config) withDefaults() Config {
-	if c.Servers == 0 {
-		c.Servers = 3
-	}
-	if c.Agents == 0 {
-		c.Agents = 256
-	}
-	if c.Rate == 0 {
-		// Sized with ~50% headroom below what a single-core runner sustains,
-		// so the committed trajectory measures the system, not the machine.
-		c.Rate = 200
-	}
-	if c.Duration == 0 {
-		c.Duration = 8 * time.Second
-	}
-	if c.Files == 0 {
-		c.Files = 128
-	}
-	if c.FileSize == 0 {
-		c.FileSize = 4096
-	}
-	if c.OpBytes == 0 {
-		c.OpBytes = 512
-	}
-	if c.Replicas == 0 {
-		c.Replicas = 2
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.DrainTimeout == 0 {
-		c.DrainTimeout = 30 * time.Second
-	}
-	if len(c.Mixes) == 0 {
-		c.Mixes = StandardMixes()
-	}
+func (c Config) withLogf() Config {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
 	return c
 }
 
-// DefaultConfig is the full trajectory run: `make load` persists it.
-func DefaultConfig() Config {
-	c := Config{}.withDefaults()
-	c.Chaos = DefaultChaos()
-	return c
+// cellParams are the default params of every file the run creates.
+func cellParams() core.Params {
+	p := core.DefaultParams()
+	p.MinReplicas = replicas
+	return p
 }
 
-// ShortConfig is the ~2s smoke shape: every mix once, small cell, no chaos.
-func ShortConfig() Config {
-	return Config{
-		Agents:       8,
-		Rate:         120,
-		Duration:     400 * time.Millisecond,
-		Files:        16,
-		DrainTimeout: 5 * time.Second,
-	}.withDefaults()
+// MixResult is one run's measured outcome.
+type MixResult struct {
+	Offered    uint64
+	Completed  uint64
+	Errored    uint64
+	Shed       uint64 // arrivals abandoned at the drain deadline
+	Throughput float64
+
+	// Errors is the taxonomy of failed ops, keyed by the derr category the
+	// typed error carried across the wire ("unavailable", "overloaded",
+	// "timeout", "not-found", ...), plus "nfs-<status>" for legacy replies
+	// with no typed trailer and "drain-shed" for arrivals the harness
+	// abandoned at the drain deadline.
+	Errors map[string]uint64
+
+	Net simnet.Stats // the inter-server network's counters over the run
 }
 
-func (c Config) summary() ConfigSummary {
-	return ConfigSummary{
-		Servers:     c.Servers,
-		Agents:      c.Agents,
-		Rate:        c.Rate,
-		DurationSec: c.Duration.Seconds(),
-		Files:       c.Files,
-		FileSize:    c.FileSize,
-		OpBytes:     c.OpBytes,
-	}
-}
-
-// arrival is one scheduled op. at is the scheduled arrival time: latency is
-// measured from it, so queueing delay under overload is charged to the
-// system (coordinated-omission-free).
+// arrival is one scheduled op.
 type arrival struct {
 	class OpClass
 	file  int
 	off   int
-	at    time.Time
 }
 
-// Run boots a cell, prepopulates the working set, runs every configured
-// mix and (if configured) the chaos run, and returns the assembled Result.
-// A chaos run that fails its graceful-degradation assertions is reported
-// in Result.Chaos.Violations, not as an error.
-func Run(cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Chaos != nil && cfg.Servers < 3 {
-		return nil, errors.New("load: chaos needs at least 3 servers (partition + crash targets)")
-	}
-
-	params := core.DefaultParams()
-	params.MinReplicas = cfg.Replicas
-	cfg.Logf("load: booting %d-server cell", cfg.Servers)
-
-	// With chaos configured, the crash victim persists into a real on-disk
-	// LogStore wearing a fault injector: the 0.55 D crash tears a wal frame
-	// mid-group-commit and the 0.70 D restart reopens the directory, so the
-	// run exercises torn-tail truncation and checkpoint+log recovery under
-	// live load, not just an in-memory state swap.
-	var vlog *victimLog
-	var newStore func(i int) (store.Store, error)
-	if cfg.Chaos != nil {
-		dir, err := os.MkdirTemp("", "deceit-chaos-victim-*")
-		if err != nil {
-			return nil, fmt.Errorf("load: victim log dir: %w", err)
-		}
-		defer os.RemoveAll(dir)
-		vlog = &victimLog{dir: dir, inj: testutil.NewCrashInjector()}
-		victim := cfg.Servers - 1
-		newStore = func(i int) (store.Store, error) {
-			if i != victim {
-				return nil, nil // default MemStore
-			}
-			return store.OpenLog(dir, store.LogOptions{Faults: vlog.inj})
-		}
-	}
-	cell, err := testnfs.NewNFSCellStores(cfg.Servers, params, newStore)
+// Run boots a healthy cell, prepopulates the working set and drives
+// cfg.Mix at cfg.Rate for cfg.Duration.
+func Run(cfg Config) (*MixResult, error) {
+	cfg = cfg.withLogf()
+	cfg.Logf("load: booting %d-server cell", servers)
+	cell, err := testnfs.NewNFSCellParams(servers, cellParams())
 	if err != nil {
 		return nil, fmt.Errorf("load: boot cell: %w", err)
 	}
 	defer cell.Close()
-
-	if cfg.VersionSkew {
-		for i, nd := range cell.Nodes {
-			if i%2 == 1 {
-				nd.Server.RPC().SetProtocolVersion(wire.ProtocolMajor, wire.ProtocolMinor-1)
-			}
-		}
-		cfg.Logf("load: version skew on: odd servers at v%d.%d", wire.ProtocolMajor, wire.ProtocolMinor-1)
-	}
-
 	fx, err := newFixture(cell, cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer fx.close()
-
-	res := &Result{
-		Schema: ResultSchema,
-		Date:   time.Now().Format(time.RFC3339),
-		Seed:   cfg.Seed,
-		Config: cfg.summary(),
-	}
-	for i, mix := range cfg.Mixes {
-		cfg.Logf("load: mix %s (%.0f ops/s for %v)", mix.Name, cfg.Rate, cfg.Duration)
-		mr, _, err := runMix(cell, fx, cfg, mix, cfg.Rate, cfg.Duration, cfg.Seed+int64(i)+1, nil)
-		if err != nil {
-			return nil, fmt.Errorf("load: mix %s: %w", mix.Name, err)
-		}
-		cfg.Logf("load: mix %s: %.1f ops/s, p99 %.2fms, %d errors",
-			mix.Name, mr.Throughput, mr.Overall.P99Ms, mr.Errored)
-		res.Mixes = append(res.Mixes, *mr)
-	}
-	res.Micro = RunMicro()
-	for _, m := range res.Micro {
-		cfg.Logf("load: micro %s: %.0f ns/op, %.0f allocs/op, %.0f B/op",
-			m.Name, m.NsPerOp, m.AllocsPerOp, m.BytesPerOp)
-	}
-	if cfg.Chaos != nil {
-		cr, err := runChaos(cell, fx, cfg, vlog)
-		if err != nil {
-			return nil, fmt.Errorf("load: chaos: %w", err)
-		}
-		res.Chaos = cr
-	}
-	return res, nil
-}
-
-// victimLog is the chaos crash victim's on-disk log store state: the
-// directory its LogStore persists into and the injector that tears its
-// in-flight commit at crash time.
-type victimLog struct {
-	dir string
-	inj *testutil.CrashInjector
+	return runMix(cell, fx, nil), nil
 }
 
 // fixture is the prepopulated working set plus the agent pool.
@@ -264,13 +122,13 @@ func rotate(addrs []string, i int) []string {
 }
 
 func newFixture(cell *testnfs.NFSCell, cfg Config) (*fixture, error) {
-	fx := &fixture{cfg: cfg, payload: make([]byte, cfg.OpBytes)}
+	fx := &fixture{cfg: cfg, payload: make([]byte, opBytes)}
 	for i := range fx.payload {
 		fx.payload[i] = byte('a' + i%26)
 	}
 	addrs := cell.Addrs()
 	for i := 0; i < cfg.Agents; i++ {
-		ag, err := agent.Mount(rotate(addrs, i), agent.Options{Cache: !cfg.NoAgentCache})
+		ag, err := agent.Mount(rotate(addrs, i), agent.Options{Cache: true})
 		if err != nil {
 			fx.close()
 			return nil, fmt.Errorf("load: mount agent %d: %w", i, err)
@@ -280,8 +138,8 @@ func newFixture(cell *testnfs.NFSCell, cfg Config) (*fixture, error) {
 
 	// Prepopulate: files are created round-robin through the pool, so their
 	// initial replicas spread across the cell's servers.
-	cfg.Logf("load: prepopulating %d files of %d bytes", cfg.Files, cfg.FileSize)
-	content := make([]byte, cfg.FileSize)
+	cfg.Logf("load: prepopulating %d files of %d bytes", cfg.Files, fileSize)
+	content := make([]byte, fileSize)
 	for i := range content {
 		content[i] = byte('0' + i%10)
 	}
@@ -333,7 +191,7 @@ func (fx *fixture) close() {
 func (fx *fixture) do(ag *agent.Agent, a arrival) error {
 	switch a.class {
 	case OpRead:
-		_, err := ag.Read(fx.handles[a.file], uint32(a.off), uint32(fx.cfg.OpBytes))
+		_, err := ag.Read(fx.handles[a.file], uint32(a.off), opBytes)
 		return err
 	case OpWrite:
 		_, err := ag.Write(fx.handles[a.file], uint32(a.off), fx.payload)
@@ -364,20 +222,10 @@ func classify(err error) string {
 // workerState is one worker's private tallies, merged after the run so the
 // hot path takes no locks.
 type workerState struct {
-	hists     map[string]*Histogram
 	errs      map[string]uint64
 	completed uint64
 	errored   uint64
 	shed      uint64
-}
-
-func (ws *workerState) hist(class string) *Histogram {
-	h := ws.hists[class]
-	if h == nil {
-		h = &Histogram{}
-		ws.hists[class] = h
-	}
-	return h
 }
 
 // timeline buckets completions by wall-clock time since run start; the
@@ -421,19 +269,17 @@ func (t *timeline) window(from, to time.Duration) (ok, bad uint64) {
 	return ok, bad
 }
 
-// runMix drives one mix at the given rate for the given duration.
-// background, if non-nil, runs concurrently with the load from the
-// generator's start time until the run is fully drained — the chaos
-// scheduler rides here. tl, if non-nil, receives per-completion ticks.
-func runMix(cell *testnfs.NFSCell, fx *fixture, cfg Config, mix Mix,
-	rate float64, duration time.Duration, seed int64,
-	hooks *mixHooks) (*MixResult, time.Duration, error) {
-
+// runMix drives fx.cfg.Mix at fx.cfg.Rate for fx.cfg.Duration. hooks, if
+// non-nil, attaches the chaos machinery: its background func runs from the
+// generator's start until the run is fully drained, and its timeline
+// receives per-completion ticks.
+func runMix(cell *testnfs.NFSCell, fx *fixture, hooks *mixHooks) *MixResult {
+	cfg := fx.cfg
 	cell.Net.Seed(seed)
 	cell.Net.ResetStats()
-	pick := newPicker(mix, cfg.Files, cfg.FileSize, cfg.OpBytes, seed)
+	pick := newPicker(cfg.Mix, cfg.Files, seed)
 
-	total := int(rate * duration.Seconds())
+	total := int(cfg.Rate * cfg.Duration.Seconds())
 	if total < 1 {
 		total = 1
 	}
@@ -450,7 +296,7 @@ func runMix(cell *testnfs.NFSCell, fx *fixture, cfg Config, mix Mix,
 		tl = hooks.timeline
 	}
 	for w := range fx.agents {
-		ws := &workerState{hists: make(map[string]*Histogram), errs: make(map[string]uint64)}
+		ws := &workerState{errs: make(map[string]uint64)}
 		workers[w] = ws
 		wg.Add(1)
 		go func(ag *agent.Agent, ws *workerState) {
@@ -466,7 +312,6 @@ func runMix(cell *testnfs.NFSCell, fx *fixture, cfg Config, mix Mix,
 					ws.errs[classify(err)]++
 					ws.errored++
 				} else {
-					ws.hist(string(a.class)).Record(time.Since(a.at))
 					ws.completed++
 				}
 				if tl != nil {
@@ -477,7 +322,7 @@ func runMix(cell *testnfs.NFSCell, fx *fixture, cfg Config, mix Mix,
 	}
 
 	bgDone := make(chan struct{})
-	if hooks != nil && hooks.background != nil {
+	if hooks != nil {
 		go func() {
 			defer close(bgDone)
 			hooks.background(start)
@@ -488,14 +333,14 @@ func runMix(cell *testnfs.NFSCell, fx *fixture, cfg Config, mix Mix,
 
 	// Open-loop generator: fixed spacing from the scheduled timeline, never
 	// from op completions.
-	interval := time.Duration(float64(time.Second) / rate)
+	interval := time.Duration(float64(time.Second) / cfg.Rate)
 	next := start
 	for i := 0; i < total; i++ {
 		if d := time.Until(next); d > 0 {
 			time.Sleep(d)
 		}
 		class, file, off := pick.next()
-		arrivals <- arrival{class: class, file: file, off: off, at: next}
+		arrivals <- arrival{class: class, file: file, off: off}
 		next = next.Add(interval)
 	}
 	close(arrivals)
@@ -504,24 +349,14 @@ func runMix(cell *testnfs.NFSCell, fx *fixture, cfg Config, mix Mix,
 	go func() { wg.Wait(); close(done) }()
 	select {
 	case <-done:
-	case <-time.After(cfg.DrainTimeout):
+	case <-time.After(drainTimeout):
 		stop.Store(true)
 		<-done
 	}
 	<-bgDone
 	elapsed := time.Since(start)
 
-	// Merge worker tallies.
-	overall := &Histogram{}
-	perClass := make(map[string]*Histogram)
-	mr := &MixResult{
-		Name:        mix.Name,
-		TargetRate:  rate,
-		DurationSec: duration.Seconds(),
-		Offered:     uint64(total),
-		Errors:      make(map[string]uint64),
-		PerClass:    make(map[string]ClassStats),
-	}
+	mr := &MixResult{Offered: uint64(total), Errors: make(map[string]uint64)}
 	for _, ws := range workers {
 		mr.Completed += ws.completed
 		mr.Errored += ws.errored
@@ -529,27 +364,14 @@ func runMix(cell *testnfs.NFSCell, fx *fixture, cfg Config, mix Mix,
 		for k, v := range ws.errs {
 			mr.Errors[k] += v
 		}
-		for class, h := range ws.hists {
-			ch := perClass[class]
-			if ch == nil {
-				ch = &Histogram{}
-				perClass[class] = ch
-			}
-			ch.Merge(h)
-			overall.Merge(h)
-		}
 	}
-	for class, h := range perClass {
-		mr.PerClass[class] = statsOf(h)
-	}
-	mr.Overall = statsOf(overall)
 	mr.Throughput = float64(mr.Completed) / elapsed.Seconds()
-	s := cell.Net.Stats()
-	mr.Net = NetStats{Sent: s.Sent, Delivered: s.Delivered, Dropped: s.Dropped, Bytes: s.Bytes}
-	return mr, elapsed, nil
+	mr.Net = cell.Net.Stats()
+	cfg.Logf("load: %.1f ops/s, %d errors %v", mr.Throughput, mr.Errored, mr.Errors)
+	return mr
 }
 
-// mixHooks attaches chaos machinery to a mix run.
+// mixHooks attaches chaos machinery to a run.
 type mixHooks struct {
 	timeline   *timeline
 	background func(start time.Time)

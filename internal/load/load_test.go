@@ -6,44 +6,47 @@ import (
 	"time"
 )
 
-// TestLoadSmokeAllMixes runs every standard workload mix once in the short
-// shape (~2s total): the harness must sustain the offered rate on a healthy
-// cell with a clean error ledger and sane histograms.
+// smokeConfig is the short healthy-cell shape: one Zipf-skewed mix that
+// issues every op class, so a few hot files see token and lease contention
+// while readdir and getattr ride alongside.
+func smokeConfig(t *testing.T) Config {
+	return Config{
+		Agents:   8,
+		Rate:     120,
+		Duration: 1500 * time.Millisecond,
+		Files:    16,
+		Mix: Mix{
+			Weights: map[OpClass]int{OpRead: 50, OpWrite: 25, OpGetattr: 15, OpReaddir: 10},
+			Zipfian: true,
+		},
+		Logf: t.Logf,
+	}
+}
+
+// TestLoadSmokeAllMixes drives every op class through the whole NFS stack
+// from concurrent agents (~2s): the harness must sustain the offered rate on
+// a healthy cell with a clean error ledger.
 func TestLoadSmokeAllMixes(t *testing.T) {
-	cfg := ShortConfig()
-	cfg.Logf = t.Logf
-	res, err := Run(cfg)
+	cfg := smokeConfig(t)
+	m, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Mixes) != 4 {
-		t.Fatalf("got %d mixes, want 4", len(res.Mixes))
+	if m.Completed == 0 {
+		t.Fatal("no ops completed")
 	}
-	for _, m := range res.Mixes {
-		if m.Completed == 0 {
-			t.Errorf("%s: no ops completed", m.Name)
-			continue
-		}
-		if m.Completed+m.Errored+m.Shed != m.Offered {
-			t.Errorf("%s: ledger does not balance: %d+%d+%d != %d",
-				m.Name, m.Completed, m.Errored, m.Shed, m.Offered)
-		}
-		// A healthy unsaturated cell must absorb nearly everything offered.
-		if frac := float64(m.Errored+m.Shed) / float64(m.Offered); frac > 0.05 {
-			t.Errorf("%s: error fraction %.2f on a healthy cell (errors: %v)", m.Name, frac, m.Errors)
-		}
-		if m.Throughput < 0.5*m.TargetRate {
-			t.Errorf("%s: throughput %.1f below half the offered %.1f ops/s", m.Name, m.Throughput, m.TargetRate)
-		}
-		if m.Overall.P50Ms <= 0 || m.Overall.P99Ms < m.Overall.P50Ms || m.Overall.P999Ms < m.Overall.P99Ms {
-			t.Errorf("%s: malformed quantiles %+v", m.Name, m.Overall)
-		}
-		if m.Net.Sent == 0 {
-			t.Errorf("%s: no simnet traffic recorded", m.Name)
-		}
+	if m.Completed+m.Errored+m.Shed != m.Offered {
+		t.Errorf("ledger does not balance: %d+%d+%d != %d", m.Completed, m.Errored, m.Shed, m.Offered)
 	}
-	if res.Chaos != nil {
-		t.Error("short config must not run chaos")
+	// A healthy unsaturated cell must absorb nearly everything offered.
+	if frac := float64(m.Errored+m.Shed) / float64(m.Offered); frac > 0.05 {
+		t.Errorf("error fraction %.2f on a healthy cell (errors: %v)", frac, m.Errors)
+	}
+	if m.Throughput < 0.5*cfg.Rate {
+		t.Errorf("throughput %.1f below half the offered %.1f ops/s", m.Throughput, cfg.Rate)
+	}
+	if m.Net.Sent == 0 {
+		t.Error("no simnet traffic recorded")
 	}
 }
 
@@ -51,19 +54,64 @@ func TestLoadSmokeAllMixes(t *testing.T) {
 // is a function of rate and duration alone, never of completions — a
 // saturated system sees queueing, not a throttled generator.
 func TestLoadOpenLoopOfferedIsFixed(t *testing.T) {
-	cfg := ShortConfig()
-	cfg.Mixes = []Mix{{Name: "read-heavy", Weights: map[OpClass]int{OpRead: 100}}}
+	cfg := smokeConfig(t)
 	cfg.Rate = 400
 	cfg.Duration = 250 * time.Millisecond
-	cfg.Logf = t.Logf
-	res, err := Run(cfg)
+	m, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := res.Mixes[0]
 	want := uint64(cfg.Rate * cfg.Duration.Seconds())
 	if m.Offered != want {
 		t.Errorf("offered = %d, want exactly %d: open loop must not throttle arrivals", m.Offered, want)
+	}
+}
+
+// TestPickerDeterministicAndZipfSkewed: one seed replays one draw sequence,
+// and a Zipfian mix concentrates its draws on a hot file.
+func TestPickerDeterministicAndZipfSkewed(t *testing.T) {
+	mix := Mix{Weights: map[OpClass]int{OpRead: 80, OpWrite: 20}, Zipfian: true}
+	draw := func(seed int64) ([]OpClass, []int) {
+		p := newPicker(mix, 64, seed)
+		var classes []OpClass
+		var files []int
+		for i := 0; i < 2000; i++ {
+			c, f, off := p.next()
+			if f < 0 || f >= 64 {
+				t.Fatalf("file %d out of range", f)
+			}
+			if off < 0 || off > fileSize-opBytes {
+				t.Fatalf("offset %d out of range", off)
+			}
+			classes = append(classes, c)
+			files = append(files, f)
+		}
+		return classes, files
+	}
+	c1, f1 := draw(42)
+	c2, f2 := draw(42)
+	for i := range c1 {
+		if c1[i] != c2[i] || f1[i] != f2[i] {
+			t.Fatalf("same seed diverged at %d: (%s,%d) vs (%s,%d)", i, c1[i], f1[i], c2[i], f2[i])
+		}
+	}
+	// Zipfian skew: the single hottest file absorbs a large share.
+	counts := make(map[int]int)
+	for _, f := range f1 {
+		counts[f]++
+	}
+	if counts[0] < len(f1)/4 {
+		t.Errorf("hot key got %d/%d draws; zipf should concentrate load", counts[0], len(f1))
+	}
+	// Weights respected roughly: the mix is 80/20 read/write.
+	reads := 0
+	for _, c := range c1 {
+		if c == OpRead {
+			reads++
+		}
+	}
+	if frac := float64(reads) / float64(len(c1)); frac < 0.7 || frac > 0.9 {
+		t.Errorf("read fraction = %.2f, want ~0.8", frac)
 	}
 }
 
@@ -75,35 +123,18 @@ func TestChaosGracefulDegradation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos run needs ~20s of wall clock")
 	}
-	cfg := Config{
-		Servers:      3,
-		Agents:       24,
-		Rate:         150,
-		Duration:     6 * time.Second,
-		Files:        48,
-		DrainTimeout: 20 * time.Second,
-		Mixes:        []Mix{}, // chaos run only
-		Chaos:        DefaultChaos(),
-		// The cell runs version-skewed (srv1 one wire minor behind), so this
-		// gate is also the mixed-version compatibility proof.
-		VersionSkew: true,
-	}.withDefaults()
-	cfg.Mixes = cfg.Mixes[:1] // one quick sanity mix before the chaos pass
-	cfg.Mixes[0] = Mix{Name: "warm", Weights: map[OpClass]int{OpRead: 80, OpWrite: 20}}
-	cfg.Duration = time.Second
 	// 16s gives the post-restart recovery ~2.4s of settle before the window
 	// opens; rejoin triggers regeneration whose cost varies run to run.
-	cfg.Chaos.Duration = 16 * time.Second
-	cfg.Chaos.Rate = 150
-	cfg.Logf = t.Logf
-
-	res, err := Run(cfg)
+	c, err := RunChaos(Config{
+		Agents:   24,
+		Rate:     150,
+		Duration: 16 * time.Second,
+		Files:    48,
+		Mix:      Mix{Weights: map[OpClass]int{OpRead: 60, OpWrite: 30, OpGetattr: 10}},
+		Logf:     t.Logf,
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	c := res.Chaos
-	if c == nil {
-		t.Fatal("no chaos result")
 	}
 	if len(c.Events) < 7 {
 		t.Errorf("only %d chaos events fired: %+v", len(c.Events), c.Events)

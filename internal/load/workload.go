@@ -1,9 +1,6 @@
 package load
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // OpClass names one kind of client operation the generator can issue.
 type OpClass string
@@ -20,35 +17,13 @@ const (
 // skewed (rand.Zipf, s=1.2) so a few hot files absorb most of the traffic;
 // otherwise files are chosen uniformly.
 type Mix struct {
-	Name    string          `json:"name"`
-	Weights map[OpClass]int `json:"weights"`
-	Zipfian bool            `json:"zipfian"`
-}
-
-// StandardMixes returns the four canonical workloads the perf trajectory
-// tracks: read-heavy, write-heavy, metadata-scan, and hot-key Zipfian.
-func StandardMixes() []Mix {
-	return []Mix{
-		{Name: "read-heavy", Weights: map[OpClass]int{OpRead: 90, OpWrite: 8, OpGetattr: 2}},
-		{Name: "write-heavy", Weights: map[OpClass]int{OpWrite: 70, OpRead: 25, OpGetattr: 5}},
-		{Name: "metadata-scan", Weights: map[OpClass]int{OpReaddir: 30, OpGetattr: 50, OpRead: 20}},
-		{Name: "hot-key", Weights: map[OpClass]int{OpRead: 80, OpWrite: 20}, Zipfian: true},
-	}
-}
-
-// MixByName returns the standard mix with the given name.
-func MixByName(name string) (Mix, error) {
-	for _, m := range StandardMixes() {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return Mix{}, fmt.Errorf("load: unknown mix %q", name)
+	Weights map[OpClass]int
+	Zipfian bool
 }
 
 // picker deterministically draws (op class, file, offset) tuples for one
 // mix. All randomness flows from the one seeded rng, so a (seed, mix,
-// rate, duration) tuple replays the identical arrival sequence.
+// files) tuple replays the identical draw sequence.
 type picker struct {
 	rng     *rand.Rand
 	zipf    *rand.Zipf
@@ -56,14 +31,10 @@ type picker struct {
 	cum     []int
 	total   int
 	files   int
-	span    int // file size minus op size: valid offset range
 }
 
-func newPicker(mix Mix, files, fileSize, opBytes int, seed int64) *picker {
-	p := &picker{rng: rand.New(rand.NewSource(seed)), files: files, span: fileSize - opBytes}
-	if p.span < 0 {
-		p.span = 0
-	}
+func newPicker(mix Mix, files int, seed int64) *picker {
+	p := &picker{rng: rand.New(rand.NewSource(seed)), files: files}
 	for class, w := range mix.Weights {
 		if w > 0 {
 			p.classes = append(p.classes, class)
@@ -100,9 +71,5 @@ func (p *picker) next() (OpClass, int, int) {
 	} else {
 		file = p.rng.Intn(p.files)
 	}
-	off := 0
-	if p.span > 0 {
-		off = p.rng.Intn(p.span + 1)
-	}
-	return class, file, off
+	return class, file, p.rng.Intn(fileSize - opBytes + 1)
 }
