@@ -25,10 +25,14 @@ race:
 # of the one write path's tests: a cold write is one cast, a lost Expect
 # race moves nothing, a holder's read waits for its own replica, a view
 # change ends a transfer orphaned by its holder, and a holder's streaming
-# write waits only for its write safety level.
+# write waits only for its write safety level; then of the waits that end
+# on their event: a transfer from a disagreeing source ends at once, a
+# lagging source serves each chunk once, and an op on a dissolved group
+# re-runs when the rejoin view lands.
 stress:
 	$(GO) test -count=100 -run 'TestConcurrentMultiWriter$$|TestTransferInstallsOnlyFrozenPair|TestUpdateDropsStaleReplica' ./internal/core
 	$(GO) test -count=10 -run 'TestPiggyback|TestColdWriteIsOneCast$$|TestHolderReadWaitsForOwnReplica$$|TestViewChangeEndsOrphanedTransfer$$|TestHolderStreamWriteWaitsOnlyForSafety$$' ./internal/core
+	$(GO) test -count=40 -run 'TestTransferFromDisagreeingSourceEndsAtOnce$$|TestLaggingSourceServesEachChunkOnce$$|TestOpOnDissolvedGroupWaitsForRejoin$$' ./internal/core
 
 bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkT1|BenchmarkAblation|BenchmarkContention|BenchmarkHotReadLocal' -benchtime=1x .

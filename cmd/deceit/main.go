@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/core"
+	"repro/internal/derr"
 	"repro/internal/server"
 )
 
@@ -220,14 +221,9 @@ func main() {
 // from an in-process segment layer, or the agent's NFS-level reflection of
 // the same class (agent.IsTransient) when the failure crossed the wire.
 func withRetry(fn func() error) error {
-	var err error
-	for attempt := 0; attempt < 3; attempt++ {
-		if err = fn(); !core.IsRetryable(err) && !agent.IsTransient(err) {
-			return err
-		}
-		time.Sleep(200 * time.Millisecond)
-	}
-	return err
+	return derr.RetryIf(3*time.Second, func(err error) bool {
+		return core.IsRetryable(err) || agent.IsTransient(err)
+	}, fn)
 }
 
 func requireArgs(args []string, n int) {

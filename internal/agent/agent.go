@@ -84,6 +84,9 @@ func replyErr(d *xdr.Decoder, st nfsproto.Status) error {
 	return &NFSError{Status: st}
 }
 
+// maxCachedFile bounds the size of a data range kept in the cache.
+const maxCachedFile = 1 << 20
+
 // Options tunes the agent.
 type Options struct {
 	// Cache enables the lease-backed attribute and data caches; off is
@@ -91,10 +94,6 @@ type Options struct {
 	// lease epoch and are reused only after a revalidation call confirms the
 	// epoch still matches — never on the strength of elapsed time.
 	Cache bool
-	// MaxCachedFile bounds the size of data ranges kept in the cache.
-	MaxCachedFile int
-	// Shortcut enables direct connections to replica holders.
-	Shortcut bool
 	// UID/GID are sent as AUTH_UNIX credentials.
 	UID, GID uint32
 	// Machine is the client's name in credentials.
@@ -112,9 +111,6 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.MaxCachedFile <= 0 {
-		o.MaxCachedFile = 1 << 20
-	}
 	if o.Machine == "" {
 		o.Machine = "deceit-agent"
 	}
@@ -513,7 +509,7 @@ func (a *Agent) Read(h nfsproto.Handle, off, count uint32) ([]byte, error) {
 		}
 		l, lok := nfsproto.TrailingLease(d)
 		a.cachePutAttr(h, res.Attr, l, lok)
-		if a.opts.Cache && lok && l.Valid && len(res.Data) <= a.opts.MaxCachedFile {
+		if a.opts.Cache && lok && l.Valid && len(res.Data) <= maxCachedFile {
 			a.mu.Lock()
 			if a.data[h] == nil {
 				a.data[h] = make(map[uint32]rangeEntry)

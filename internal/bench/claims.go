@@ -92,7 +92,9 @@ func RunC2() (*Table, error) {
 		ID:     "C2",
 		Title:  "Write latency vs write safety level, 3 replicas (§4)",
 		Header: []string{"write safety", "avg latency", "meaning"},
-		Notes:  []string{"expected shape: 0 fastest (async); latency grows with level"},
+		Notes: []string{"expected shape: 0 fastest (async); with the writer off the " +
+			"coordinator, 1 and 2 tie, because the coordinator's reply lands in the " +
+			"same round as the writer's own delivery; 3 pays one more hop"},
 	}
 	meanings := map[int]string{
 		0: "asynchronous unsafe write",

@@ -45,7 +45,6 @@ func testCoreOpts() Options {
 	return Options{
 		StabilityDelay: 60 * time.Millisecond,
 		OpTimeout:      2 * time.Second,
-		RetryDelay:     5 * time.Millisecond,
 		JoinWait:       700 * time.Millisecond,
 	}
 }

@@ -53,9 +53,6 @@ type readPlan struct {
 
 // readPlanLocked builds the plan for one read under sg.mu.
 func (s *Server) readPlanLocked(sg *segment, major uint64, off, n int64) readPlan {
-	if sg.dissolved {
-		return readPlan{err: ErrBusy}
-	}
 	if sg.deleted {
 		return readPlan{err: ErrNotFound}
 	}
@@ -92,12 +89,9 @@ func (s *Server) readPlanLocked(sg *segment, major uint64, off, n int64) readPla
 	// stability notification, all file reads and inquiries are forwarded to
 	// the token holder") — or if it holds a shared read token, whose grant
 	// slot certified the replica current and whose revocation any later
-	// update must collect before returning (applyReadToken/applyUpdate). A
-	// recovering segment (group not yet rejoined or inside the recreation
-	// grace window) must not serve its possibly-obsolete pre-crash state
-	// (§3.6 "Non-token Replica Crash").
+	// update must collect before returning (applyReadToken/applyUpdate).
 	covered := ms.holder == s.id || ms.readers[s.id]
-	if rep != nil && !p.stale && sg.readyLocked() && (!p.unstable || covered) {
+	if rep != nil && !p.stale && (!p.unstable || covered) {
 		p.served = true
 		p.data, p.pair = sliceReplica(rep, off, n)
 		return p
@@ -106,7 +100,7 @@ func (s *Server) readPlanLocked(sg *segment, major uint64, off, n int64) readPla
 	// An unstable read blocked only by the missing token is worth one grant
 	// cast: every read after it is local until the next write revokes.
 	p.wantToken = p.unstable && !covered && !sg.readDenied &&
-		rep != nil && !p.stale && sg.readyLocked()
+		rep != nil && !p.stale
 
 	// Stable forwarding candidates: any available replica, preferring the
 	// holder (Figure 2's server-to-server forwarding).
@@ -148,6 +142,12 @@ func (s *Server) readOnce(ctx context.Context, id SegID, major uint64, off, n in
 	if err != nil {
 		return nil, version.Pair{}, err
 	}
+	// A recovering segment must not serve its possibly-obsolete pre-crash
+	// state (§3.6 "Non-token Replica Crash").
+	grp, _, err := s.awaitLive(ctx, sg)
+	if err != nil {
+		return nil, version.Pair{}, err
+	}
 	plan := func() readPlan {
 		sg.mu.Lock()
 		defer sg.mu.Unlock()
@@ -186,7 +186,7 @@ func (s *Server) readOnce(ctx context.Context, id SegID, major uint64, off, n in
 
 	if p.unstable {
 		if !p.holderIn {
-			return s.readAfterHolderFailure(ctx, sg, p.major, off, n)
+			return s.readAfterHolderFailure(ctx, sg, grp, p.major, off, n)
 		}
 		if p.holder != s.id {
 			data, pair, err := s.directRead(ctx, p.holder, id, p.major, off, n)
@@ -249,13 +249,7 @@ func sliceReplica(rep *localReplica, off, n int64) ([]byte, version.Pair) {
 // and the token holder has left the view, it broadcasts to the file group
 // to find a stable replica; if none exists it forces the most up-to-date
 // replica stable and destroys obsolete ones.
-func (s *Server) readAfterHolderFailure(ctx context.Context, sg *segment, major uint64, off, n int64) ([]byte, version.Pair, error) {
-	sg.mu.Lock()
-	grp := sg.group
-	sg.mu.Unlock()
-	if grp == nil {
-		return nil, version.Pair{}, ErrBusy
-	}
+func (s *Server) readAfterHolderFailure(ctx context.Context, sg *segment, grp *isis.Group, major uint64, off, n int64) ([]byte, version.Pair, error) {
 	cctx, cancel := context.WithTimeout(ctx, s.opts.OpTimeout)
 	defer cancel()
 	replies, err := grp.Cast(cctx, encodeCast(&castMsg{Op: opInquiry, Major: major}), isis.All)
@@ -478,7 +472,7 @@ func (s *Server) finishWrite(sg *segment, major uint64, call *isis.Call) {
 	case <-call.Done():
 	case <-time.After(2 * s.opts.OpTimeout):
 		return
-	case <-s.done:
+	case <-s.ctx.Done():
 		return
 	}
 	acks := 0
@@ -601,35 +595,55 @@ func (s *Server) maybeMarkStable(sg *segment, major uint64) {
 	_ = grp.CastAsync(encodeCast(&castMsg{Op: opMarkStable, Major: major}))
 }
 
+// requestReplica asks the holder for a replica of major on target and waits
+// for the transfer that decides it. The holder runs one transfer at a time,
+// and the request's own reply says which transfer to wait for: accepted, the
+// one it starts; refused because one is running (tokBusy), that one. When
+// that transfer ends without the replica it returns errRetryNow.
+func (s *Server) requestReplica(ctx context.Context, sg *segment, major uint64, target simnet.NodeID) error {
+	r, err := s.castSelf(ctx, sg, &castMsg{Op: opRequestReplica, Major: major, Target: target})
+	// This member applied the request, so a refusing transfer was running in
+	// its state at that slot; an accepted one begins later.
+	running := r != nil && r.Outcome == tokBusy
+	if err != nil && !running {
+		return err
+	}
+	wctx, cancel := context.WithTimeout(ctx, 5*s.opts.OpTimeout) // runTransfer's budgets
+	defer cancel()
+	var gone, landed bool
+	if !sg.await(wctx, func() bool {
+		ms := sg.majors[major]
+		gone = ms == nil || sg.deleted
+		landed = !gone && ms.replicas[target]
+		running = running || !gone && ms.transferring
+		return gone || landed || running && !ms.transferring
+	}) {
+		return ErrBusy
+	}
+	switch {
+	case landed:
+		return nil
+	case gone:
+		return ErrNotFound
+	}
+	return errRetryNow
+}
+
 // requestMigration asks the holder to create a local replica after a
 // forwarded access (§3.1 method 4: "as a background activity, a local
 // non-volatile replica is generated ... to speed future reads"; "each client
 // slowly gathers its working set of files to the server to which it has
-// connected"). The holder runs one transfer at a time and refuses a
-// request while one runs, so the request is repeated after each transfer
-// seen running ends, until the replica lands or the attempts run out.
-// Concurrent calls for the same major coalesce.
+// connected"). The request is repeated after each transfer it waited for
+// ends, until the replica lands or the attempts run out. Concurrent calls
+// for the same major coalesce.
 func (s *Server) requestMigration(sg *segment, major uint64) {
 	release, ok := sg.claim(&sg.migrating, major)
 	if !ok {
 		return
 	}
 	defer release()
-
-	for attempt := 0; attempt < 20 && !s.closed.Load(); attempt++ {
-		ctx, cancel := context.WithTimeout(context.Background(), s.opts.OpTimeout)
-		_, _ = s.castOne(ctx, sg, &castMsg{Op: opRequestReplica, Major: major, Target: s.id})
-		cancel()
-		var done, running bool
-		ctx, cancel = context.WithTimeout(context.Background(), 4*s.opts.RetryDelay)
-		sg.await(ctx, func() bool {
-			ms := sg.majors[major]
-			done = ms == nil || sg.deleted || ms.replicas[s.id]
-			running = running || !done && ms.transferring
-			return done || running && !ms.transferring
-		})
-		cancel()
-		if done {
+	for attempt := 0; attempt < 20; attempt++ {
+		if s.requestReplica(s.ctx, sg, major, s.id) != errRetryNow {
 			return
 		}
 	}

@@ -222,6 +222,10 @@ type directMsg struct {
 	HaveSet   bool
 	Have      version.Pair
 	Unchanged bool
+
+	// Want (dmFetchReq) is the fetcher's pair: the source answers once its
+	// replica reaches it. Older minors send zero, which is served at once.
+	Want version.Pair
 }
 
 // MarshalWire implements wire.Marshaler.
@@ -239,11 +243,9 @@ func (m *directMsg) MarshalWire(e *wire.Encoder) {
 	e.Int64(m.Size)
 	e.Bytes32(m.Branches)
 	e.Bool(m.Stable)
-	// Reserved, always zero: a bool and a version pair that older minors
-	// filled for forwarded writes. Kept so the layout is unchanged.
+	// Reserved, always false (older minors' forwarded writes); then Want.
 	e.Bool(false)
-	e.Uint64(0)
-	e.Uint64(0)
+	m.Want.MarshalWire(e)
 	e.Bool(m.HaveSet)
 	m.Have.MarshalWire(e)
 	e.Bool(m.Unchanged)
@@ -256,7 +258,7 @@ func (m *directMsg) SizeWire() int {
 		m.Pair.SizeWire() +
 		2 + wire.SizeString(m.Err) + 8 +
 		wire.SizeBytes32(m.Branches) +
-		1 + (1 + 8 + 8) + // Stable, reserved
+		1 + 1 + m.Want.SizeWire() + // Stable, reserved, Want
 		1 + m.Have.SizeWire() + 1
 }
 
@@ -278,8 +280,9 @@ func (m *directMsg) UnmarshalWire(d *wire.Decoder) error {
 	m.Branches = d.Bytes32()
 	m.Stable = d.Bool()
 	d.Bool() // reserved
-	d.Uint64()
-	d.Uint64()
+	if err := m.Want.UnmarshalWire(d); err != nil {
+		return err
+	}
 	m.HaveSet = d.Bool()
 	if err := m.Have.UnmarshalWire(d); err != nil {
 		return err

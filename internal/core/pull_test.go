@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/isis"
 	"repro/internal/simnet"
 	"repro/internal/version"
 	"repro/internal/wire"
@@ -14,8 +15,9 @@ import (
 // TestTransferInstallsOnlyFrozenPair covers a transfer source that lags in
 // delivery: when the target's fetch arrives, the source still holds the copy
 // from before the last update sequenced ahead of opBeginTransfer. The target
-// must never install that copy; it waits for the source to catch up and then
-// installs the frozen pair's bytes and is listed as a replica.
+// must never install that copy; its pull waits on the source until the
+// source catches up and then installs the frozen pair's bytes and is listed
+// as a replica.
 func TestTransferInstallsOnlyFrozenPair(t *testing.T) {
 	c := newTestCluster(t, 3)
 	ctx := ctxT(t, 20*time.Second)
@@ -71,6 +73,7 @@ func TestTransferInstallsOnlyFrozenPair(t *testing.T) {
 	// The delivery arrives.
 	sg0.mu.Lock()
 	sg0.local[major] = cur
+	sg0.wakeLocked()
 	sg0.mu.Unlock()
 	waitUntil(t, 5*time.Second, "srv2 listed as a replica", func() bool {
 		checkTarget()
@@ -143,7 +146,8 @@ func TestUpdateDropsStaleReplica(t *testing.T) {
 // request but never joins the file group must not keep its goroutine alive
 // past Close for the rest of the join budget.
 func TestRunTransferStopsOnClose(t *testing.T) {
-	c := newTestClusterCore(t, 1, func(o *Options) { o.RetryDelay = 20 * time.Millisecond })
+	const bound = 100 * time.Millisecond
+	c := newTestCluster(t, 1)
 	ctx := ctxT(t, 10*time.Second)
 	srv := c.nodes[0].srv
 	id, err := srv.Create(ctx, DefaultParams())
@@ -179,7 +183,7 @@ func TestRunTransferStopsOnClose(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("runTransfer never sent its open request")
 	}
-	time.Sleep(3 * c.copts.RetryDelay) // now in the join wait
+	time.Sleep(60 * time.Millisecond) // now in the join wait
 	srv.Close()
 	closed := time.Now()
 	select {
@@ -187,8 +191,8 @@ func TestRunTransferStopsOnClose(t *testing.T) {
 	case <-time.After(c.copts.OpTimeout):
 		t.Fatal("runTransfer still running a whole OpTimeout after Close")
 	}
-	if d := time.Since(closed); d > 5*c.copts.RetryDelay {
-		t.Fatalf("runTransfer returned %v after Close, want within a few RetryDelay (%v)", d, c.copts.RetryDelay)
+	if d := time.Since(closed); d > bound {
+		t.Fatalf("runTransfer returned %v after Close, want within %v", d, bound)
 	}
 }
 
@@ -199,9 +203,9 @@ func TestRunTransferStopsOnClose(t *testing.T) {
 // once its replica lands — neither may wait out a 2×OpTimeout deadline for
 // a request that was dropped.
 func TestNewHolderDoesNotWaitOutDeadline(t *testing.T) {
-	c := newTestClusterCore(t, 3, func(o *Options) { o.RetryDelay = 20 * time.Millisecond })
+	const bound = 200 * time.Millisecond
+	c := newTestCluster(t, 3)
 	ctx := ctxT(t, 30*time.Second)
-	bound := 10 * c.copts.RetryDelay
 	srv0, srv2 := c.nodes[0].srv, c.nodes[2].srv
 	major := uint64(version.InitialMajor)
 
@@ -281,7 +285,7 @@ func TestNewHolderDoesNotWaitOutDeadline(t *testing.T) {
 				return ErrBusy
 			})
 		}()
-		time.Sleep(5 * c.copts.RetryDelay)
+		time.Sleep(bound / 2)
 		finish(t, "replica step", errc, abort())
 		sg2.mu.Lock()
 		defer sg2.mu.Unlock()
@@ -295,7 +299,7 @@ func TestNewHolderDoesNotWaitOutDeadline(t *testing.T) {
 		abort := holdTransfer(t, srv0, sg0)
 		errc := make(chan error, 1)
 		go func() { errc <- srv0.AddReplica(ctx, sg0.id, major, srv2.ID()) }()
-		time.Sleep(5 * c.copts.RetryDelay)
+		time.Sleep(bound / 2)
 		finish(t, "AddReplica", errc, abort())
 		sg2.mu.Lock()
 		defer sg2.mu.Unlock()
@@ -334,12 +338,22 @@ func TestHolderReadWaitsForOwnReplica(t *testing.T) {
 	sg0, sg2 := srv0.tab.get(id), srv2.tab.get(id)
 
 	// Pause the pull: srv0, the only replica and so the source, answers
-	// fetches from a stand-in whose copy is at a pair the group never
-	// reaches, so the target retries until the real segment is back.
+	// fetches from a stand-in whose copy is behind the transfer's pair, as
+	// if srv0 had not yet delivered the write, so the fetch waits there
+	// until resume delivers it.
 	standIn := newSegment(srv0, id)
-	standIn.local[major] = &localReplica{pair: version.Pair{Major: major, Sub: 1 << 40}}
+	standIn.local[major] = &localReplica{pair: version.Initial()}
 	srv0.tab.put(id, standIn)
-	resume := func() { srv0.tab.put(id, sg0) }
+	resume := func() {
+		sg0.mu.Lock()
+		cur := *sg0.local[major]
+		sg0.mu.Unlock()
+		standIn.mu.Lock()
+		standIn.local[major] = &cur
+		standIn.wakeLocked()
+		standIn.mu.Unlock()
+		srv0.tab.put(id, sg0)
+	}
 	defer resume()
 
 	wrote := make(chan error, 1)
@@ -388,7 +402,7 @@ func TestHolderReadWaitsForOwnReplica(t *testing.T) {
 	select {
 	case r := <-read:
 		t.Fatalf("read returned %q, %v while the holder's replica was still being pulled", r.data, r.err)
-	case <-time.After(20 * c.copts.RetryDelay):
+	case <-time.After(100 * time.Millisecond):
 	}
 	for i, n := range syncs(logs) {
 		if got := n - before[i]; got != 0 {
@@ -496,11 +510,9 @@ func TestViewChangeEndsOrphanedTransfer(t *testing.T) {
 
 // TestWriteResumesWhenTransferEnds covers a write refused because a
 // transfer freezes its file (§3.1): it goes out again as soon as the
-// transfer ends, not after a blind RetryDelay.
+// transfer ends, in one more attempt, not on a retry backoff.
 func TestWriteResumesWhenTransferEnds(t *testing.T) {
-	copts := testCoreOpts()
-	copts.RetryDelay = 5 * time.Second
-	c := newTestClusterFull(t, 2, testISISOpts(), copts)
+	c := newTestCluster(t, 2)
 	ctx := ctxT(t, 20*time.Second)
 	srv0, srv1 := c.nodes[0].srv, c.nodes[1].srv
 	major := uint64(version.InitialMajor)
@@ -527,10 +539,218 @@ func TestWriteResumesWhenTransferEnds(t *testing.T) {
 		_, _ = srv0.castAll(ctx, sg0, &castMsg{Op: opAbortTransfer, Major: major})
 	}()
 	start := time.Now()
-	if _, err := srv0.Write(ctx, id, WriteReq{Data: []byte("after")}); err != nil {
+	attempts := 0
+	if err := srv0.retry(ctx, func() error {
+		attempts++
+		_, errs, err := srv0.writeBatchAttempt(ctx, id, []WriteReq{{Data: []byte("after")}})
+		if err == nil {
+			err = errs[0]
+		}
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if took := time.Since(start); took < hold || took > hold+time.Second {
 		t.Fatalf("write took %v; want it to follow the transfer's end at %v", took, hold)
+	}
+	if attempts > 2 {
+		t.Fatalf("write made %d attempts; want the refused one and one after the transfer's end", attempts)
+	}
+}
+
+// TestTransferFromDisagreeingSourceEndsAtOnce covers a transfer whose source
+// holds the version at a pair past the one the transfer froze, as when two
+// members disagree on a version's pair. The source can never serve the
+// frozen pair, so it refuses the target's first fetch: the transfer ends and
+// the file takes writes again within a few round trips, not after the
+// transfer's 4×OpTimeout budget.
+func TestTransferFromDisagreeingSourceEndsAtOnce(t *testing.T) {
+	const bound = 500 * time.Millisecond
+	c := newTestCluster(t, 3)
+	ctx := ctxT(t, 30*time.Second)
+	srv0, srv2 := c.nodes[0].srv, c.nodes[2].srv
+	major := uint64(version.InitialMajor)
+	id, err := srv0.Create(ctx, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv0.Write(ctx, id, WriteReq{Data: []byte("payload")}); err != nil {
+		t.Fatal(err)
+	}
+	waitStable(t, srv0, id)
+	if _, err := srv2.Stat(ctx, id); err != nil { // srv2 joins without a replica
+		t.Fatal(err)
+	}
+	sg0 := srv0.tab.get(id)
+
+	// srv0, the holder and source, answers fetches from a stand-in whose
+	// copy is far past the group's pair.
+	standIn := newSegment(srv0, id)
+	standIn.local[major] = &localReplica{pair: version.Pair{Major: major, Sub: 1 << 40}}
+	srv0.tab.put(id, standIn)
+	start := time.Now()
+	landed := srv0.runTransfer(ctx, sg0, major, srv2.ID())
+	srv0.tab.put(id, sg0)
+	if landed {
+		t.Fatal("transfer landed from a source past the frozen pair")
+	}
+	if _, err := srv0.Write(ctx, id, WriteReq{Data: []byte("P")}); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > bound {
+		t.Fatalf("the file took a write again %v after the transfer began, want within %v", took, bound)
+	}
+	sg2 := srv2.tab.get(id)
+	sg2.mu.Lock()
+	defer sg2.mu.Unlock()
+	if rep := sg2.local[major]; rep != nil {
+		t.Fatalf("target installed %q at %v from a disagreeing source", rep.data, rep.pair)
+	}
+}
+
+// TestLaggingSourceServesEachChunkOnce covers a transfer source that has not
+// yet delivered the last update sequenced before opBeginTransfer. The
+// target's first fetch waits on the source for that delivery, so the pull
+// lands with one fetch per chunk: the source ships the file's bytes exactly
+// once and never the stale copy.
+func TestLaggingSourceServesEachChunkOnce(t *testing.T) {
+	const size = 16
+	c := newTestClusterCore(t, 3, func(o *Options) { o.TransferChunk = size / 4 })
+	ctx := ctxT(t, 20*time.Second)
+	srv0, srv2 := c.nodes[0].srv, c.nodes[2].srv
+	major := uint64(version.InitialMajor)
+	id, err := srv0.Create(ctx, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv0.Write(ctx, id, WriteReq{Data: []byte("0123456789abcdef")}); err != nil {
+		t.Fatal(err)
+	}
+	waitStable(t, srv0, id)
+	sg0 := srv0.tab.get(id)
+	sg0.mu.Lock()
+	prev := *sg0.local[major]
+	prev.data = append([]byte(nil), prev.data...)
+	sg0.mu.Unlock()
+	want := []byte("ABCDEFGHIJKLMNOP")
+	if _, err := srv0.Write(ctx, id, WriteReq{Data: want}); err != nil {
+		t.Fatal(err)
+	}
+	waitStable(t, srv0, id)
+	if _, err := srv2.Stat(ctx, id); err != nil { // srv2 joins the group
+		t.Fatal(err)
+	}
+	sg2 := srv2.tab.get(id)
+
+	// The source has not yet delivered the last update.
+	sg0.mu.Lock()
+	cur := sg0.local[major]
+	sg0.local[major] = &prev
+	sg0.mu.Unlock()
+	out, in := srv0.TransferStats().BytesOut, srv2.TransferStats().BytesIn
+	if _, err := srv0.castOne(ctx, sg0, &castMsg{
+		Op: opBeginTransfer, Major: major, Source: srv0.ID(), Target: srv2.ID(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
+
+	// The delivery arrives.
+	sg0.mu.Lock()
+	sg0.local[major] = cur
+	sg0.wakeLocked()
+	sg0.mu.Unlock()
+	waitUntil(t, 5*time.Second, "srv2 listed as a replica", func() bool {
+		sg0.mu.Lock()
+		defer sg0.mu.Unlock()
+		ms := sg0.majors[major]
+		return !ms.transferring && ms.replicas[srv2.ID()]
+	})
+	sg2.mu.Lock()
+	rep := sg2.local[major]
+	sg2.mu.Unlock()
+	if rep == nil || !bytes.Equal(rep.data, want) {
+		t.Fatalf("target holds %+v, want %q", rep, want)
+	}
+	if got := srv0.TransferStats().BytesOut - out; got != size {
+		t.Errorf("source shipped %d bytes for a %d-byte file in %d-byte chunks, want each chunk once", got, size, size/4)
+	}
+	if got := srv2.TransferStats().BytesIn - in; got != size {
+		t.Errorf("target pulled %d bytes for a %d-byte file, want each chunk once", got, size)
+	}
+}
+
+// TestOpOnDissolvedGroupWaitsForRejoin covers ops issued while their file
+// group is dissolved (§3.6: the losing side of a partition heal rejoins the
+// winner). Each waits for the view that ends the dissolve and then re-runs
+// within a few ms of it, in at most two attempts, instead of making one
+// attempt per retry backoff while the group is away.
+func TestOpOnDissolvedGroupWaitsForRejoin(t *testing.T) {
+	const (
+		away  = 100 * time.Millisecond
+		bound = 50 * time.Millisecond
+	)
+	c := newTestCluster(t, 1)
+	ctx := ctxT(t, 20*time.Second)
+	srv := c.nodes[0].srv
+	id, err := srv.Create(ctx, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Write(ctx, id, WriteReq{Data: []byte("payload")}); err != nil {
+		t.Fatal(err)
+	}
+	waitStable(t, srv, id)
+	sg := srv.tab.get(id)
+	sg.mu.Lock()
+	view := sg.view
+	sg.mu.Unlock()
+
+	ops := map[string]func() error{
+		"write": func() error {
+			_, errs, err := srv.writeBatchAttempt(ctx, id, []WriteReq{{Data: []byte("P")}})
+			if err == nil {
+				err = errs[0]
+			}
+			return err
+		},
+		"read": func() error {
+			_, _, err := srv.readOnce(ctx, id, 0, 0, -1)
+			return err
+		},
+		"cast": func() error {
+			_, err := srv.castOne(ctx, sg, &castMsg{Op: opSetParams, Params: DefaultParams()})
+			return err
+		},
+	}
+	app := &segApp{sg: sg}
+	for name, op := range ops {
+		t.Run(name, func(t *testing.T) {
+			app.ViewChange(isis.View{}, isis.ReasonDissolve)
+			type result struct {
+				attempts int
+				err      error
+				at       time.Time
+			}
+			done := make(chan result, 1)
+			go func() {
+				attempts := 0
+				err := srv.retry(ctx, func() error { attempts++; return op() })
+				done <- result{attempts, err, time.Now()}
+			}()
+			time.Sleep(away)
+			rejoined := time.Now()
+			app.ViewChange(view, isis.ReasonJoin)
+			r := <-done
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			if d := r.at.Sub(rejoined); d > bound {
+				t.Errorf("op finished %v after the view that ended the dissolve, want within %v", d, bound)
+			}
+			if r.attempts > 2 {
+				t.Errorf("op made %d attempts across a %v dissolve, want at most 2", r.attempts, away)
+			}
+		})
 	}
 }

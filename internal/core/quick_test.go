@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/simnet"
+	"repro/internal/version"
 	"repro/internal/wire"
 )
 
@@ -110,21 +111,27 @@ func TestQuickCastMsgWireRoundTrip(t *testing.T) {
 }
 
 func TestQuickDirectMsgWireRoundTrip(t *testing.T) {
-	f := func(kind uint8, reqID uint64, seg uint64, off, n int64, data []byte, errs string, stable bool) bool {
+	f := func(kind uint8, reqID uint64, seg uint64, off, n int64, data []byte, errs string, stable bool, want version.Pair) bool {
 		m := directMsg{
 			Kind: kind, ReqID: reqID, Seg: SegID(seg),
-			Off: off, N: n, Data: data, Err: errs, Stable: stable,
+			Off: off, N: n, Data: data, Err: errs, Stable: stable, Want: want,
 		}
+		buf := wire.Marshal(&m)
 		var out directMsg
-		if err := wire.Unmarshal(wire.Marshal(&m), &out); err != nil {
+		if err := wire.Unmarshal(buf, &out); err != nil || len(buf) != m.SizeWire() {
 			return false
 		}
 		return out.Kind == m.Kind && out.ReqID == m.ReqID && out.Seg == m.Seg &&
 			out.Off == m.Off && out.N == m.N && bytes.Equal(out.Data, m.Data) &&
-			out.Err == m.Err && out.Stable == m.Stable
+			out.Err == m.Err && out.Stable == m.Stable && out.Want == m.Want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+	// Want rides the reserved pair slot, so the layout older minors decode
+	// is unchanged: an empty message is as long as it always was.
+	if n := len(wire.Marshal(&directMsg{})); n != 115 {
+		t.Fatalf("empty directMsg encodes to %d bytes, want 115", n)
 	}
 }
 

@@ -33,8 +33,6 @@ type Options struct {
 	TransferChunk int
 	// OpTimeout bounds internal protocol rounds. Default 5s.
 	OpTimeout time.Duration
-	// RetryDelay spaces retries of ErrBusy conditions. Default 15ms.
-	RetryDelay time.Duration
 	// JoinWait bounds the group lookup when opening a segment this server
 	// has never seen. Default 1s.
 	JoinWait time.Duration
@@ -52,9 +50,6 @@ func (o *Options) fill() {
 	}
 	if o.OpTimeout <= 0 {
 		o.OpTimeout = 5 * time.Second
-	}
-	if o.RetryDelay <= 0 {
-		o.RetryDelay = 15 * time.Millisecond
 	}
 	if o.JoinWait <= 0 {
 		o.JoinWait = time.Second
@@ -79,7 +74,6 @@ type Server struct {
 	stateMu   sync.Mutex // guards conflicts, confSeen
 	conflicts []Conflict
 	confSeen  map[string]bool
-	closed    atomic.Bool
 
 	stats struct {
 		readsLocal     atomic.Uint64
@@ -94,7 +88,8 @@ type Server struct {
 	reqID   atomic.Uint64
 	pending sync.Map // reqID -> chan *directMsg
 
-	done chan struct{}
+	ctx  context.Context // cancelled by Close
+	stop context.CancelFunc
 	wg   sync.WaitGroup
 }
 
@@ -115,8 +110,8 @@ func NewServer(proc *isis.Process, direct simnet.Transport, st store.Store, opts
 		segAlloc: version.NewAllocator(string(proc.ID()) + "/seg"),
 		tab:      newSegTable(),
 		confSeen: make(map[string]bool),
-		done:     make(chan struct{}),
 	}
+	s.ctx, s.stop = context.WithCancel(context.Background())
 	s.wg.Add(1)
 	go s.directLoop()
 	s.recover()
@@ -129,10 +124,7 @@ func (s *Server) ID() simnet.NodeID { return s.id }
 // Close shuts the server down. The ISIS process and store are owned by the
 // caller and are not closed.
 func (s *Server) Close() {
-	if s.closed.Swap(true) {
-		return
-	}
-	close(s.done)
+	s.stop()
 	for _, sg := range s.tab.snapshot() {
 		sg.mu.Lock()
 		if sg.stabTimer != nil {
@@ -316,10 +308,8 @@ func (s *Server) Stat(ctx context.Context, id SegID) (SegInfo, error) {
 // may request the token holder to create or delete a replica on a specific
 // server with a special command").
 func (s *Server) AddReplica(ctx context.Context, id SegID, major uint64, target simnet.NodeID) error {
-	var sg *segment
-	err := s.retry(ctx, func() error {
-		var err error
-		sg, err = s.openSegment(ctx, id)
+	return s.retry(ctx, func() error {
+		sg, err := s.openSegment(ctx, id)
 		if err != nil {
 			return err
 		}
@@ -328,25 +318,8 @@ func (s *Server) AddReplica(ctx context.Context, id SegID, major uint64, target 
 			major = sg.currentMajorLocked()
 			sg.mu.Unlock()
 		}
-		_, err = s.castOne(ctx, sg, &castMsg{Op: opRequestReplica, Major: major, Target: target})
-		return err
+		return s.requestReplica(ctx, sg, major, target)
 	})
-	if err != nil {
-		return err
-	}
-	// Wait for the transfer to land.
-	wctx, cancel := context.WithTimeout(ctx, 2*s.opts.OpTimeout)
-	defer cancel()
-	if sg.await(wctx, func() bool {
-		ms := sg.majors[major]
-		return ms != nil && ms.replicas[target]
-	}) {
-		return nil
-	}
-	if ctx.Err() != nil {
-		return derr.FromContext(ctx, "core.addreplica")
-	}
-	return ErrBusy
 }
 
 // RemoveReplica deletes the replica held by target.
@@ -444,12 +417,19 @@ func (s *Server) Write(ctx context.Context, id SegID, req WriteReq) (version.Pai
 	return pairs[0], err
 }
 
-// retry re-runs fn while it reports a retryable condition (IsRetryable),
-// spacing attempts by RetryDelay. When the context expires mid-retry the
-// caller sees a typed Timeout wrapping the last attempt's error, so the
-// transient cause stays visible (errors.Is still matches ErrBusy) while the
-// code that crosses the RPC boundary says what actually ended the wait. A
-// closing server stops retrying and returns the last error.
+// retryBackoff spaces attempts that failed for a remote cause. An attempt
+// whose cause is local waits for the event that ends it and returns
+// errRetryNow, and retry re-runs it at once.
+const retryBackoff = 5 * time.Millisecond
+
+var errRetryNow = derr.New(derr.CodeBusy, "core: cause ended; retry")
+
+// retry re-runs fn while it reports a retryable condition (IsRetryable).
+// When the context expires mid-retry the caller sees a typed Timeout
+// wrapping the last attempt's error, so the transient cause stays visible
+// (errors.Is still matches ErrBusy) while the code that crosses the RPC
+// boundary says what actually ended the wait. A closing server stops
+// retrying and returns the last error.
 func (s *Server) retry(ctx context.Context, fn func() error) error {
 	for {
 		err := fn()
@@ -457,17 +437,42 @@ func (s *Server) retry(ctx context.Context, fn func() error) error {
 			return err
 		}
 		// Compared by identity: errors.Is matches every CodeBusy error.
-		if err == errTransferEnded && ctx.Err() == nil {
+		if err == errRetryNow && ctx.Err() == nil {
 			continue
 		}
 		select {
 		case <-ctx.Done():
 			return derr.Wrap(derr.CodeDeadline, "core.retry", err)
-		case <-s.done:
+		case <-s.ctx.Done():
 			return err
-		case <-time.After(s.opts.RetryDelay):
+		case <-time.After(retryBackoff):
 		}
 	}
+}
+
+// awaitLive waits until this member may run an op on sg: its group handle is
+// stored, the group is not dissolved, and the recovery grace window has
+// closed. It returns the handle and the dissolves so far, for awaitRejoin.
+func (s *Server) awaitLive(ctx context.Context, sg *segment) (*isis.Group, uint64, error) {
+	var grp *isis.Group
+	var n uint64
+	if !sg.await(ctx, func() bool {
+		grp, n = sg.group, sg.dissolves
+		return sg.readyLocked() && !sg.dissolved
+	}) {
+		return nil, 0, ErrBusy
+	}
+	return grp, n, nil
+}
+
+// awaitRejoin runs after a cast failed with isis.ErrDissolved, where n is
+// awaitLive's count from before the cast: it waits for that dissolve to
+// reach this member and end, then asks retry to re-run the op at once.
+func (s *Server) awaitRejoin(ctx context.Context, sg *segment, n uint64) error {
+	if !sg.await(ctx, func() bool { return sg.dissolves > n && !sg.dissolved }) {
+		return ErrBusy
+	}
+	return errRetryNow
 }
 
 // castOne casts m into the segment's group and returns the first reply,
@@ -487,11 +492,9 @@ func (s *Server) castAll(ctx context.Context, sg *segment, m *castMsg) (*castRep
 // it applied m: for a caller that goes on to act in its own state, when
 // another member's reply may arrive first.
 func (s *Server) castSelf(ctx context.Context, sg *segment, m *castMsg) (*castReply, error) {
-	sg.mu.Lock()
-	grp := sg.group
-	sg.mu.Unlock()
-	if grp == nil {
-		return nil, ErrBusy
+	grp, _, err := s.awaitLive(ctx, sg)
+	if err != nil {
+		return nil, err
 	}
 	call, err := grp.CastCall(encodeCast(m))
 	if err != nil {
@@ -524,19 +527,16 @@ func (s *Server) ownReply(ctx context.Context, call *isis.Call) (*castReply, err
 }
 
 func (s *Server) castK(ctx context.Context, sg *segment, m *castMsg, k int) (*castReply, error) {
-	sg.mu.Lock()
-	grp := sg.group
-	dissolved := sg.dissolved
-	sg.mu.Unlock()
-	if grp == nil || dissolved {
-		return nil, ErrBusy
+	grp, n, err := s.awaitLive(ctx, sg)
+	if err != nil {
+		return nil, err
 	}
 	cctx, cancel := context.WithTimeout(ctx, s.opts.OpTimeout)
 	defer cancel()
 	replies, err := grp.Cast(cctx, encodeCast(m), k)
 	if err != nil {
 		if errors.Is(err, isis.ErrDissolved) {
-			return nil, ErrBusy
+			return nil, s.awaitRejoin(ctx, sg, n)
 		}
 		if cctx.Err() != nil {
 			return nil, derr.Wrap(derr.CodeDeadline, "core.cast", err)
@@ -601,7 +601,7 @@ func decodeReply(data []byte) (*castReply, error) {
 func (s *Server) openSegment(ctx context.Context, id SegID) (*segment, error) {
 	sh := s.tab.shard(id)
 	for {
-		if s.closed.Load() {
+		if s.ctx.Err() != nil {
 			return nil, ErrDeleted
 		}
 		sh.mu.Lock()
@@ -711,21 +711,17 @@ func (s *Server) recover() {
 func (s *Server) rejoinRecovered(sg *segment) {
 	app := &segApp{sg: sg}
 	// Joining the live group reconciles our stale state before we serve
-	// anything; retry a few times before concluding nobody else has it
-	// (lookups can time out transiently while the cell is churning).
-	for attempt := 0; attempt < 3; attempt++ {
-		ctx, cancel := context.WithTimeout(context.Background(), s.opts.JoinWait)
-		grp, err := s.proc.JoinReconcile(ctx, sg.id.groupName(), app, nil)
-		cancel()
-		if err == nil {
-			sg.setGroup(grp)
-			return
-		}
-		select {
-		case <-s.done:
-			return
-		case <-time.After(s.opts.RetryDelay):
-		}
+	// anything. The join re-sends its lookup until its context ends, which
+	// rides out lookups lost while the cell is churning.
+	ctx, cancel := context.WithTimeout(s.ctx, 3*s.opts.JoinWait)
+	grp, err := s.proc.JoinReconcile(ctx, sg.id.groupName(), app, nil)
+	cancel()
+	if err == nil {
+		sg.setGroup(grp)
+		return
+	}
+	if s.ctx.Err() != nil {
+		return
 	}
 	// Nobody else seems to have the group: recreate it from our
 	// non-volatile state and probe the cell for competing recreations. Our
@@ -733,13 +729,19 @@ func (s *Server) rejoinRecovered(sg *segment) {
 	// before trusting its replicas), so reads and writes stay gated until
 	// either a probe-triggered merge reconciles us or a grace period passes
 	// with no other instance appearing.
-	grp, err := s.proc.Create(sg.id.groupName(), app)
+	grp, err = s.proc.Create(sg.id.groupName(), app)
 	if err != nil {
 		return
 	}
+	grace := 2 * s.opts.JoinWait
 	sg.mu.Lock()
-	sg.graceUntil = time.Now().Add(2 * s.opts.JoinWait)
+	sg.graceUntil = time.Now().Add(grace)
 	sg.mu.Unlock()
+	time.AfterFunc(grace, func() { // ops waiting for the window wake as it closes
+		sg.mu.Lock()
+		sg.wakeLocked()
+		sg.mu.Unlock()
+	})
 	sg.setGroup(grp)
 	grp.ProbeTargets(s.proc.Peers())
 }
@@ -874,6 +876,7 @@ func (a *segApp) ViewChange(v isis.View, reason isis.ViewReason) {
 	switch reason {
 	case isis.ReasonDissolve:
 		sg.dissolved = true
+		sg.dissolves++
 	case isis.ReasonMerge:
 		sg.dissolved = false
 		sg.graceUntil = time.Time{} // reconciled: safe to serve again

@@ -118,6 +118,7 @@ type segment struct {
 	deleted    bool
 	view       isis.View
 	dissolved  bool
+	dissolves  uint64 // dissolve views seen; see Server.awaitRejoin
 	lastWrite  time.Time
 	stabTimer  *time.Timer
 	migrating  map[uint64]bool // majors with an in-flight migration loop
@@ -151,8 +152,8 @@ type segment struct {
 	dirty []store.Op
 
 	// changed is made by an await and closed (and reset) by every event
-	// one can wait for: a commit, a view change or snapshot install, and
-	// the group handle being stored.
+	// one can wait for: a commit, a view change or snapshot install, the
+	// group handle being stored, and the recovery grace window closing.
 	changed chan struct{}
 }
 
@@ -172,7 +173,7 @@ func (sg *segment) await(ctx context.Context, cond func() bool) bool {
 		case <-ch:
 		case <-ctx.Done():
 			return false
-		case <-sg.srv.done:
+		case <-sg.srv.ctx.Done():
 			return false
 		}
 		sg.mu.Lock()
@@ -657,9 +658,10 @@ func (sg *segment) applyRequestReplica(from simnet.NodeID, m *castMsg) *castRepl
 	if ms.replicas[m.Target] {
 		return &castReply{OK: true, Pair: ms.pair} // already a replica
 	}
-	// One transfer at a time: refuse visibly, so the requester retries.
+	// One transfer at a time: refuse visibly, so the requester waits for
+	// the running one to end (tokBusy) and asks again.
 	if ms.transferring {
-		return replyFail(derr.CodeBusy, "transfer running")
+		return &castReply{Code: uint16(derr.CodeBusy), Err: "transfer running", Outcome: tokBusy}
 	}
 	if ms.holder == "" || !sg.view.Contains(ms.holder) {
 		return replyFail(derr.CodeBusy, "holder unavailable")

@@ -2,11 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
-	"time"
 
 	"repro/internal/derr"
-	"repro/internal/isis"
 	"repro/internal/simnet"
 	"repro/internal/version"
 	"repro/internal/wire"
@@ -108,38 +105,19 @@ func (s *Server) runTransfer(ctx context.Context, sg *segment, major uint64, tar
 }
 
 // fetchReplica runs on the transfer target: it pulls the replica frozen by
-// opBeginTransfer from source and announces the outcome to the group. A
-// source that has not yet delivered every update sequenced before the
-// transfer still holds an older pair; the pull is retried until the source
-// catches up, and the transfer is aborted on any other failure or when the
-// budget runs out.
+// opBeginTransfer from source and announces the outcome to the group. The
+// pull waits on the source's side for any update sequenced before the
+// transfer that the source has not yet delivered, so one pull decides: a
+// source that cannot reach the frozen pair refuses within a round trip and
+// the transfer is aborted, which lets the file take writes again.
 func (s *Server) fetchReplica(sg *segment, major uint64, source simnet.NodeID) {
 	ctx, cancel := context.WithTimeout(context.Background(), 4*s.opts.OpTimeout)
 	defer cancel()
-	for {
-		pair, err := s.pull(ctx, sg, major, source)
-		if err == nil {
-			s.castTransferOutcome(ctx, sg, &castMsg{Op: opReplicaReady, Major: major, Pair: pair})
-			return
-		}
-		if !errors.Is(err, ErrBusy) || !s.sleep(ctx, s.opts.RetryDelay) {
-			s.castTransferOutcome(ctx, sg, &castMsg{Op: opAbortTransfer, Major: major})
-			return
-		}
+	outcome := &castMsg{Op: opAbortTransfer, Major: major}
+	if pair, err := s.pull(ctx, sg, major, source); err == nil {
+		outcome = &castMsg{Op: opReplicaReady, Major: major, Pair: pair}
 	}
-}
-
-// sleep waits for d, reporting false instead if ctx expires or the server
-// closes first.
-func (s *Server) sleep(ctx context.Context, d time.Duration) bool {
-	select {
-	case <-ctx.Done():
-		return false
-	case <-s.done:
-		return false
-	case <-time.After(d):
-		return true
-	}
+	s.castTransferOutcome(ctx, sg, outcome)
 }
 
 // castTransferOutcome casts a transfer target's opReplicaReady or
@@ -149,8 +127,7 @@ func (s *Server) sleep(ctx context.Context, d time.Duration) bool {
 // because dropping it would leave the file frozen for updates until the
 // holder's transfer times out.
 func (s *Server) castTransferOutcome(ctx context.Context, sg *segment, m *castMsg) {
-	var grp *isis.Group
-	if sg.await(ctx, func() bool { grp = sg.group; return grp != nil }) {
+	if grp, _, err := s.awaitLive(ctx, sg); err == nil {
 		_ = grp.CastAsync(encodeCast(m))
 	}
 }
@@ -204,8 +181,9 @@ func (sg *segment) claim(set *map[uint64]bool, major uint64) (release func(), ok
 // whose replica is current; the refresh itself deletes nothing, so if every
 // replica went stale simultaneously the most up-to-date one survives for the
 // §3.6 forced-stability path to promote. (An update that reaches a stale
-// replica first drops it: see applyUpdate.) Concurrent calls for the same
-// major coalesce.
+// replica first drops it: see applyUpdate.) One pass over the reachable
+// peers; the next read that finds the replica stale refreshes again.
+// Concurrent calls for the same major coalesce.
 func (s *Server) refreshReplica(sg *segment, major uint64) {
 	release, ok := sg.claim(&sg.refreshing, major)
 	if !ok {
@@ -213,25 +191,16 @@ func (s *Server) refreshReplica(sg *segment, major uint64) {
 	}
 	defer release()
 
-	for attempt := 0; attempt < 10; attempt++ {
-		sg.mu.Lock()
-		ms := sg.majors[major]
-		rep := sg.local[major]
-		done := sg.deleted || ms == nil || rep == nil || rep.pair == ms.pair
-		var peers []simnet.NodeID
-		if !done {
-			peers = sg.peerReplicasLocked(ms)
-		}
-		sg.mu.Unlock()
-		if done {
-			return
-		}
-		for _, peer := range peers {
-			if _, err := s.pull(context.Background(), sg, major, peer); err == nil {
-				return
-			}
-		}
-		if !s.sleep(context.Background(), 8*s.opts.RetryDelay) {
+	sg.mu.Lock()
+	ms := sg.majors[major]
+	rep := sg.local[major]
+	var peers []simnet.NodeID
+	if !sg.deleted && ms != nil && rep != nil && rep.pair != ms.pair {
+		peers = sg.peerReplicasLocked(ms)
+	}
+	sg.mu.Unlock()
+	for _, peer := range peers {
+		if _, err := s.pull(context.Background(), sg, major, peer); err == nil {
 			return
 		}
 	}
@@ -254,10 +223,11 @@ func (sg *segment) peerReplicasLocked(ms *majorState) []simnet.NodeID {
 // copy installed is the one at want, the pair the group agreed on when the
 // pull started (for a transfer target, the pair frozen by opBeginTransfer's
 // slot, since updates are refused while the transfer runs), and only while
-// want is still the group's pair. A peer that answers with any other pair —
-// it has not yet delivered the updates sequenced before the pull, or it is
-// as stale as we are, or an update landed mid-pull — stops the pull with
-// ErrBusy; nothing partial or torn is ever installed. A local copy is
+// want is still the group's pair. Each request carries want, and a peer that
+// has not yet delivered the updates sequenced before the pull answers once
+// it has. A peer that cannot reach want — it is past it, on another branch,
+// or as stale as we are — or an update landing mid-pull stops the pull with
+// a final error; nothing partial or torn is ever installed. A local copy is
 // offered with the first chunk request, and an Unchanged answer at want
 // revalidates it in place, so a rejoin after a crash ships data only for
 // replicas that moved while the server was down.
@@ -287,7 +257,7 @@ func (s *Server) pull(ctx context.Context, sg *segment, major uint64, peer simne
 	for off := int64(0); ; {
 		req := &directMsg{
 			Kind: dmFetchReq, Seg: sg.id, Major: major,
-			Off: off, N: int64(s.opts.TransferChunk),
+			Off: off, N: int64(s.opts.TransferChunk), Want: want,
 		}
 		if off == 0 && prior != nil {
 			req.Have, req.HaveSet = have, true
@@ -303,7 +273,7 @@ func (s *Server) pull(ctx context.Context, sg *segment, major uint64, peer simne
 			s.stats.xferUnchanged.Add(1)
 		}
 		if resp.Pair != want {
-			return version.Pair{}, ErrBusy
+			return version.Pair{}, ErrVersionConflict // an older peer answers at once
 		}
 		if stable, unchanged = resp.Stable, resp.Unchanged; unchanged {
 			break
@@ -359,7 +329,7 @@ func (s *Server) directCall(ctx context.Context, to simnet.NodeID, req *directMs
 		return resp, nil
 	case <-ctx.Done():
 		return nil, derr.FromContext(ctx, "core.direct")
-	case <-s.done:
+	case <-s.ctx.Done():
 		return nil, ErrDeleted
 	}
 }
@@ -410,7 +380,7 @@ func (s *Server) directLoop() {
 			case dmOpenReq:
 				go s.serveOpen(m.From, &dm)
 			}
-		case <-s.done:
+		case <-s.ctx.Done():
 			return
 		}
 	}
@@ -424,11 +394,27 @@ func (s *Server) serveFetch(from simnet.NodeID, req *directMsg) {
 		s.sendDirect(from, resp)
 		return
 	}
+	if !req.Want.IsZero() {
+		// Wait for the updates that bring this replica to the fetcher's pair.
+		ctx, cancel := context.WithTimeout(context.Background(), s.opts.OpTimeout)
+		sg.await(ctx, func() bool {
+			rep := sg.local[req.Major]
+			return rep == nil || rep.pair.Major != req.Want.Major || rep.pair.Sub >= req.Want.Sub
+		})
+		cancel()
+	}
 	sg.mu.Lock()
 	rep := sg.local[req.Major]
-	if rep == nil {
-		sg.mu.Unlock()
+	switch {
+	case rep == nil:
 		resp.fail(derr.CodeNotFound, "no replica")
+	case !req.Want.IsZero() && rep.pair != req.Want:
+		// Past the fetcher's pair, on another branch, or still short of it
+		// after an OpTimeout: this replica never serves that pair.
+		resp.fail(derr.CodeVersionConflict, "replica not at the wanted pair")
+	}
+	if resp.failed() {
+		sg.mu.Unlock()
 		s.sendDirect(from, resp)
 		return
 	}

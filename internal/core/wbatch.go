@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 
-	"repro/internal/derr"
 	"repro/internal/isis"
 	"repro/internal/version"
 )
@@ -88,11 +87,11 @@ func (s *Server) writeBatchAttempt(ctx context.Context, id SegID, reqs []WriteRe
 	if err != nil {
 		return nil, nil, err
 	}
-	sg.mu.Lock()
-	if sg.dissolved {
-		sg.mu.Unlock()
-		return nil, nil, ErrBusy
+	grp, n, err := s.awaitLive(ctx, sg)
+	if err != nil {
+		return nil, nil, err
 	}
+	sg.mu.Lock()
 	if sg.deleted {
 		sg.mu.Unlock()
 		return nil, nil, ErrNotFound
@@ -106,12 +105,8 @@ func (s *Server) writeBatchAttempt(ctx context.Context, id SegID, reqs []WriteRe
 		return nil, nil, ErrNotFound
 	}
 	params := sg.params
-	ready := sg.readyLocked()
 	sg.mu.Unlock()
-	if !ready {
-		return nil, nil, ErrBusy
-	}
-	return s.writeBatchOnce(ctx, sg, major, reqs, params)
+	return s.writeBatchOnce(ctx, sg, grp, n, major, reqs, params)
 }
 
 // writeBatchOnce performs one batched cast: op 0 is the combined token
@@ -120,18 +115,14 @@ func (s *Server) writeBatchAttempt(ctx context.Context, id SegID, reqs []WriteRe
 // segment.resolveUpdateMajor). All ops share one total-order slot. Then
 // come Table 1's postconditions: the write-safety number of replica replies
 // (§4), the return to stability (§3.4) and replica maintenance (§3.1).
-func (s *Server) writeBatchOnce(ctx context.Context, sg *segment, major uint64, reqs []WriteReq, params Params) ([]version.Pair, []error, error) {
+// grp and n are awaitLive's.
+func (s *Server) writeBatchOnce(ctx context.Context, sg *segment, grp *isis.Group, n uint64, major uint64, reqs []WriteReq, params Params) ([]version.Pair, []error, error) {
 	sg.mu.Lock()
-	grp := sg.group
-	dissolved := sg.dissolved
 	// A holder already streaming, with no transfer freezing updates, expects
 	// its token op to answer tokHeld.
 	ms := sg.majors[major]
 	held := ms != nil && ms.holder == s.id && (ms.unstable || !params.Stability) && !ms.transferring
 	sg.mu.Unlock()
-	if grp == nil || dissolved {
-		return nil, nil, ErrBusy
-	}
 
 	proposed := s.majAlloc.Next()
 	hasData := s.ensureDataForFork(ctx, sg, major)
@@ -152,7 +143,7 @@ func (s *Server) writeBatchOnce(ctx context.Context, sg *segment, major uint64, 
 	bc, err := grp.CastBatch(payloads)
 	if err != nil {
 		if errors.Is(err, isis.ErrDissolved) {
-			return nil, nil, ErrBusy
+			return nil, nil, s.awaitRejoin(ctx, sg, n)
 		}
 		return nil, nil, err
 	}
@@ -173,6 +164,9 @@ func (s *Server) writeBatchOnce(ctx context.Context, sg *segment, major uint64, 
 	wctx, cancel := context.WithTimeout(ctx, s.opts.OpTimeout)
 	replies, err := bc.Op(0).Wait(wctx, 1)
 	cancel()
+	if errors.Is(err, isis.ErrDissolved) {
+		return nil, nil, s.awaitRejoin(ctx, sg, n)
+	}
 	if err != nil || len(replies) == 0 {
 		return nil, nil, ErrBusy
 	}
@@ -257,13 +251,9 @@ func (s *Server) writeBatchOnce(ctx context.Context, sg *segment, major uint64, 
 	return pairs, errs, nil
 }
 
-// errTransferEnded refuses a write that a transfer froze (§3.1) once that
-// transfer has ended: the write is retried at once, not after RetryDelay.
-var errTransferEnded = derr.New(derr.CodeBusy, "core: transfer ended; retry")
-
 // awaitTransferEnd runs after a token op was refused because major is
-// transferring. It waits for this member to apply that op, so the transfer
-// is in its own state too, and then for the transfer to end.
+// transferring (§3.1). It waits for this member to apply that op, so the
+// transfer is in its own state too, and then for the transfer to end.
 func (s *Server) awaitTransferEnd(ctx context.Context, sg *segment, call *isis.Call, major uint64) error {
 	wctx, cancel := context.WithTimeout(ctx, s.opts.OpTimeout)
 	defer cancel()
@@ -276,7 +266,7 @@ func (s *Server) awaitTransferEnd(ctx context.Context, sg *segment, call *isis.C
 	}) {
 		return ErrBusy
 	}
-	return errTransferEnded
+	return errRetryNow
 }
 
 // conditional reports whether any op carries an Expect: its outcome is the

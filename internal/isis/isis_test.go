@@ -455,7 +455,7 @@ func TestCastAsyncIsOrdered(t *testing.T) {
 	}
 }
 
-func TestLookupAndJoinOrCreate(t *testing.T) {
+func TestLookupAndJoin(t *testing.T) {
 	c := newCell(t, 2)
 	apps := []*testApp{{id: "n0"}, {id: "n1"}}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -468,15 +468,22 @@ func TestLookupAndJoinOrCreate(t *testing.T) {
 	}
 	scancel()
 
-	// JoinOrCreate creates when absent, joins when present.
-	g0, err := c.procs[0].JoinOrCreate(ctx, "g", apps[0], 200*time.Millisecond)
+	// Lookup finds a created group, and then the member that joined it.
+	g0, err := c.procs[0].Create("g", apps[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(g0.View().Members) != 1 {
 		t.Fatalf("created view = %v", g0.View())
 	}
-	g1, err := c.procs[1].JoinOrCreate(ctx, "g", apps[1], time.Second)
+	members, err := c.procs[1].Lookup(ctx, "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(members) != 1 {
+		t.Fatalf("lookup members = %v", members)
+	}
+	g1, err := c.procs[1].Join(ctx, "g", apps[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +491,7 @@ func TestLookupAndJoinOrCreate(t *testing.T) {
 		return len(g1.View().Members) == 2
 	})
 
-	members, err := c.procs[1].Lookup(ctx, "g")
+	members, err = c.procs[1].Lookup(ctx, "g")
 	if err != nil {
 		t.Fatal(err)
 	}

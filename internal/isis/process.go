@@ -64,14 +64,6 @@ func (p *Process) Peers() []simnet.NodeID {
 	return append([]simnet.NodeID(nil), p.peers...)
 }
 
-// SetPeers replaces the cell peer list (e.g. when a new server is added to
-// the cell, §6.1).
-func (p *Process) SetPeers(peers []simnet.NodeID) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.peers = append([]simnet.NodeID(nil), peers...)
-}
-
 // Close shuts the process down. Groups are abandoned without a leave
 // protocol (as in a crash); co-members will detect the failure.
 func (p *Process) Close() {
@@ -322,24 +314,6 @@ func (p *Process) Create(name string, app App) (*Group, error) {
 // completes or ctx expires.
 func (p *Process) Join(ctx context.Context, name string, app App) (*Group, error) {
 	return p.join(ctx, name, app, false, nil)
-}
-
-// JoinOrCreate joins the group if any cell peer is a member, and otherwise
-// creates it. The lookup phase is bounded by lookupWait. Note that two
-// processes calling JoinOrCreate concurrently for a brand-new name can race
-// into two distinct groups; Deceit avoids this by creating each file group
-// exactly once, at segment creation.
-func (p *Process) JoinOrCreate(ctx context.Context, name string, app App, lookupWait time.Duration) (*Group, error) {
-	lctx, cancel := context.WithTimeout(ctx, lookupWait)
-	g, err := p.join(lctx, name, app, false, nil)
-	cancel()
-	if err == nil {
-		return g, nil
-	}
-	if ctx.Err() != nil {
-		return nil, ctx.Err()
-	}
-	return p.Create(name, app)
 }
 
 // JoinReconcile joins a group while preserving local application state: the

@@ -47,7 +47,6 @@ func FastCoreOpts() core.Options {
 	return core.Options{
 		StabilityDelay: 60 * time.Millisecond,
 		OpTimeout:      2 * time.Second,
-		RetryDelay:     5 * time.Millisecond,
 		JoinWait:       700 * time.Millisecond,
 	}
 }
